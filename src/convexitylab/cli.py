@@ -284,17 +284,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    bound = runtime.enumeration_bound(args.bound)
-    started = time.monotonic()
-    report: dict[str, Any] = {
-        "command": argv,
-        "bound": bound,
-        "seed": args.seed,
-        "results": {},
-        "verdicts": {},
-        "witnesses": {},
-    }
     try:
+        bound = runtime.enumeration_bound(args.bound)
+        started = time.monotonic()
+        report: dict[str, Any] = {
+            "command": argv,
+            "bound": bound,
+            "seed": args.seed,
+            "results": {},
+            "verdicts": {},
+            "witnesses": {},
+        }
         if args.verb == "gen":
             payload = _gen_payload(args.source, bound)
             _emit(args, fileio.dumps(payload))

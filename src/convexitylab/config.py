@@ -3,10 +3,13 @@
 The enumeration bound caps the ground-set size for which closed-set
 families are enumerated (worst case 2**bound sets).  Order of
 precedence: explicit argument, CONVEXITY_LAB_BOUND environment
-variable, built-in default.
+variable, built-in default.  A bound that is not a nonnegative integer
+is an input error.
 """
 
 import os
+
+from .errors import InputError
 
 DEFAULT_ENUMERATION_BOUND = 20
 
@@ -14,9 +17,14 @@ ENV_BOUND = "CONVEXITY_LAB_BOUND"
 
 
 def enumeration_bound(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_BOUND)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUMERATION_BOUND
+    if explicit is None:
+        env = os.environ.get(ENV_BOUND)
+        if env is None:
+            return DEFAULT_ENUMERATION_BOUND
+        try:
+            explicit = int(env)
+        except ValueError:
+            raise InputError(f"{ENV_BOUND} must be an integer, got '{env}'")
+    if explicit < 0:
+        raise InputError(f"the enumeration bound must be nonnegative, got {explicit}")
+    return explicit

@@ -1,12 +1,22 @@
 """Relatively convex sets of exact rational point configurations.
 
-Membership in a convex hull is decided exactly over the rationals (no
-floating point anywhere): the equality system "nonnegative coefficients
-summing to one reproduce the point" is solved by Gaussian elimination
-with an explicit search over column bases, so a feasible instance is
-recognized through one of its basic feasible solutions.  A second,
-independent route (Carathéodory enumeration over small affinely
-independent subsets) is provided for cross-validation.
+Each configuration is scaled once, at construction, to integer
+coordinates (multiplied by the lcm of all coordinate denominators).
+Relative convexity is affine invariant, so the exact tests below run on
+small integers instead of fractions, and no floating point appears
+anywhere:
+
+* in the plane, hull membership is decided by integer orientation signs
+  against the monotone-chain hull of the subset (A. M. Andrew, 1979);
+* in any other dimension, the equality system "nonnegative coefficients
+  summing to one reproduce the point" is solved over the rationals by
+  Gaussian elimination with an explicit search over column bases, so a
+  feasible instance is recognized through one of its basic feasible
+  solutions;
+* Carathéodory enumeration over small affinely independent subsets is
+  an independent route kept as the test oracle;
+* collinearity, in any dimension, is the vanishing of all 2x2 minors of
+  two integer difference vectors.
 
 From hull membership the module derives the relatively-convex closure
 system of a configuration, its largest convexly independent subsets,
@@ -27,6 +37,7 @@ from .errors import CapacityError, InputError
 from .geometry import Verdict
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 def _as_vector(coords, dim: int) -> Vector:
@@ -54,9 +65,20 @@ class PointConfig:
         for p in self.points:
             if len(p) != self.dim:
                 raise InputError("all coordinate vectors must have the configured dimension")
+            if not all(isinstance(c, (int, Fraction)) for c in p):
+                raise InputError("coordinates must be exact rationals")
         if len(set(self.points)) != len(self.points):
             raise InputError("repeated points are rejected")
         object.__setattr__(self, "_hull_memo", {})
+        scale = lcm(*(c.denominator for p in self.points for c in p))
+        object.__setattr__(
+            self,
+            "_int_points",
+            tuple(
+                tuple(c.numerator * (scale // c.denominator) for c in p)
+                for p in self.points
+            ),
+        )
 
     @classmethod
     def from_coords(cls, dim: int, coords, labels=None) -> "PointConfig":
@@ -128,8 +150,9 @@ def _matrix_rank(vectors: list[Vector]) -> int:
 def hull_membership(config: PointConfig, y: int, p: int) -> bool:
     """Exact test: is point ``p`` a convex combination of the points in ``y``?
 
-    Solved through basic feasible solutions: the equality system has a
-    nonnegative solution iff some full-rank column basis carries one.
+    Points on the hull boundary count as inside.  Planar configurations
+    use integer orientation tests; other dimensions search the column
+    bases of the equality system for a nonnegative basic solution.
     """
     full = config.ground.full_mask
     if y & ~full:
@@ -149,9 +172,52 @@ def hull_membership(config: PointConfig, y: int, p: int) -> bool:
 def _hull_membership_raw(config: PointConfig, y: int, p: int) -> bool:
     if y >> p & 1:
         return True
-    idx = list(bits(y))
-    if not idx:
+    if not y:
         return False
+    if config.dim == 2:
+        ints = config._int_points  # type: ignore[attr-defined]
+        return _in_planar_hull(sorted(ints[i] for i in bits(y)), ints[p])
+    return _hull_membership_bases(config, y, p)
+
+
+def _orientation(o: IntVector, a: IntVector, b: IntVector) -> int:
+    """Twice the signed area of the triangle o, a, b (positive: counter-clockwise)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_planar_hull(points: list[IntVector], q: IntVector) -> bool:
+    """Is ``q`` in the convex hull of the lexicographically sorted ``points``?
+
+    Builds the monotone-chain hull with collinear points dropped, so the
+    vertices run counter-clockwise without repeats; boundary points of
+    the hull (edge interiors included) count as inside.
+    """
+    lower: list[IntVector] = []
+    for pt in points:
+        while len(lower) >= 2 and _orientation(lower[-2], lower[-1], pt) <= 0:
+            lower.pop()
+        lower.append(pt)
+    upper: list[IntVector] = []
+    for pt in reversed(points):
+        while len(upper) >= 2 and _orientation(upper[-2], upper[-1], pt) <= 0:
+            upper.pop()
+        upper.append(pt)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) <= 2:
+        # All points on one line: the hull is the segment between the
+        # lexicographic extremes, a single point when they coincide.
+        a, b = points[0], points[-1]
+        return _orientation(a, b, q) == 0 and (
+            (q[0] - a[0]) * (q[0] - b[0]) <= 0 and (q[1] - a[1]) * (q[1] - b[1]) <= 0
+        )
+    return all(
+        _orientation(hull[i - 1], hull[i], q) >= 0 for i in range(len(hull))
+    )
+
+
+def _hull_membership_bases(config: PointConfig, y: int, p: int) -> bool:
+    """Basic-feasible-solution search over Fraction column bases, any dimension."""
+    idx = list(bits(y))
     target = config.points[p]
     columns = [config.points[i] + (Fraction(1),) for i in idx]
     rhs = target + (Fraction(1),)
@@ -295,16 +361,19 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
         raise CapacityError(f"configuration size {n} exceeds the search bound 16")
     if n == 1:
         return 1, (point_line(config.points[0]),)
-    coverage: dict[Line, int] = {}
+    ints = config._int_points  # type: ignore[attr-defined]
+    # Two or more points determine their line, so the mask of points a
+    # line carries identifies it; each line is built once.
+    lines: dict[int, Line] = {}
     for i, j in combinations(range(n), 2):
-        ln = line_through(config.points[i], config.points[j])
-        if ln not in coverage:
-            coverage[ln] = sum(
-                1 << k for k in range(n) if ln.contains(config.points[k])
-            )
-    candidates = sorted(coverage.items())
+        mask = sum(
+            1 << k for k in range(n) if _collinear(ints[i], ints[j], ints[k])
+        )
+        if mask not in lines:
+            lines[mask] = line_through(config.points[i], config.points[j])
+    candidates = sorted((ln, m) for m, ln in lines.items())
     full = (1 << n) - 1
-    max_cover = max(popcount(m) for _, m in coverage.items())
+    max_cover = max(popcount(m) for m in lines)
     best_count = n
     best_lines: tuple[Line, ...] = tuple(point_line(p) for p in config.points)
 
@@ -320,7 +389,9 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
             return
         target = next(bits(full & ~covered))
         options = [(ln, m) for ln, m in candidates if m >> target & 1]
-        options.sort(key=lambda item: (-popcount(item[1] & ~covered), item[0]))
+        # Candidates are in line order and the sort is stable, so ties
+        # stay in line order.
+        options.sort(key=lambda item: -popcount(item[1] & ~covered))
         for ln, m in options:
             search(covered | m, chosen + [ln])
         search(covered | (1 << target), chosen + [point_line(config.points[target])])
@@ -329,18 +400,19 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
     return best_count, tuple(sorted(best_lines))
 
 
-def are_collinear(p: Vector, q: Vector, r: Vector) -> bool:
-    diffs = [
-        tuple(a - b for a, b in zip(q, p)),
-        tuple(a - b for a, b in zip(r, p)),
-    ]
-    return _matrix_rank(diffs) <= 1
+def _collinear(p: IntVector, q: IntVector, r: IntVector) -> bool:
+    """Do p, q, r lie on one line?  All 2x2 minors of (q - p, r - p) vanish."""
+    u = [b - a for a, b in zip(p, q)]
+    v = [b - a for a, b in zip(p, r)]
+    return all(
+        u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(len(u)), 2)
+    )
 
 
 def has_collinear_triple(config: PointConfig, ids) -> bool:
+    ints = config._int_points  # type: ignore[attr-defined]
     return any(
-        are_collinear(config.points[a], config.points[b], config.points[c])
-        for a, b, c in combinations(ids, 3)
+        _collinear(ints[a], ints[b], ints[c]) for a, b, c in combinations(ids, 3)
     )
 
 

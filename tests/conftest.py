@@ -8,6 +8,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import settings
 
 from convexitylab import (
     ClosureSystem,
@@ -20,6 +21,12 @@ from convexitylab import (
     n5,
 )
 from convexitylab.posets import FinitePoset
+
+# Property tests draw the same examples on every run and machine, keep
+# no example database, and have no per-example deadline (exact-arithmetic
+# oracles are slow on a loaded machine).
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 # ---------------------------------------------------------------- families
 

@@ -228,8 +228,13 @@ def test_bound_flag_and_env(tmp_path, capsys, monkeypatch):
         },
     )
     assert run_cli(capsys, "gen", f"points:{big}", "--bound", "4")[0] == 3
+    assert run_cli(capsys, "gen", f"points:{big}", "--bound", "-1")[0] == 2
     monkeypatch.setenv("CONVEXITY_LAB_BOUND", "4")
     assert run_cli(capsys, "gen", f"points:{big}")[0] == 3
+    for bad in ("abc", "-3", "4.5"):
+        monkeypatch.setenv("CONVEXITY_LAB_BOUND", bad)
+        code, _, err = run_cli(capsys, "gen", f"points:{big}")
+        assert code == 2 and "input error" in err
     monkeypatch.delenv("CONVEXITY_LAB_BOUND")
     assert run_cli(capsys, "gen", f"points:{big}")[0] == 0
 

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convexitylab import (
     CapacityError,
@@ -21,7 +24,14 @@ from convexitylab import (
     restrict,
 )
 from convexitylab.bitset import bits
-from convexitylab.relconvex import Line, line_through, point_line
+from convexitylab.relconvex import (
+    Line,
+    _hull_membership_bases,
+    _matrix_rank,
+    has_collinear_triple,
+    line_through,
+    point_line,
+)
 
 
 def square_corners():
@@ -39,6 +49,8 @@ def test_config_rejects_duplicates_and_bad_shapes():
         PointConfig.from_coords(2, [(0, 0, 0)])
     with pytest.raises(InputError):
         PointConfig.from_coords(0, [()])
+    with pytest.raises(InputError):
+        PointConfig(2, ((0.5, 1),), ("a",))
 
 
 def test_hull_membership_trivial_cases():
@@ -74,6 +86,48 @@ def test_hull_membership_agrees_with_caratheodory():
                     assert hull_membership(config, y, p) == (
                         hull_membership_caratheodory(config, y, p)
                     )
+
+
+@st.composite
+def grid_configs(draw, dim, side, max_size):
+    """Distinct cells of a coarse integer grid under a rational scale and
+    shift: collinear triples, points inside hull edges and one- or
+    two-point hulls are common, and coordinates have mixed denominators."""
+    cell = st.tuples(*[st.integers(0, side - 1)] * dim)
+    cells = draw(st.lists(cell, min_size=3, max_size=max_size, unique=True))
+    scale = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(-2, 3))))
+    offset = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    shift = draw(st.tuples(*[offset] * dim))
+    return PointConfig.from_coords(
+        dim, [tuple(s + c * scale for s, c in zip(shift, pts)) for pts in cells]
+    )
+
+
+@given(grid_configs(2, side=4, max_size=6))
+@example(PointConfig.from_coords(2, [(0, 0), (1, 1), (2, 2), (3, 0)]))
+@example(PointConfig.from_coords(2, [(0, 0), (2, 0), (1, 0), (3, 0), (1, 1), (1, 2)]))
+@settings(max_examples=50)
+def test_planar_kernel_matches_fraction_routes(config):
+    n = config.size
+    for y in range(1 << n):
+        for p in range(n):
+            fast = hull_membership(config, y, p)
+            assert fast == hull_membership_caratheodory(config, y, p), (y, p)
+            assert fast == _hull_membership_bases(config, y, p), (y, p)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_collinear_triples_match_rank_oracle(dim, data):
+    config = data.draw(grid_configs(dim, side=3, max_size=6))
+    for triple in combinations(range(config.size), 3):
+        p, q, r = (config.points[i] for i in triple)
+        diffs = [
+            tuple(b - a for a, b in zip(p, q)),
+            tuple(b - a for a, b in zip(p, r)),
+        ]
+        assert has_collinear_triple(config, triple) == (_matrix_rank(diffs) <= 1)
 
 
 def oracle_relconvex_family(config):
