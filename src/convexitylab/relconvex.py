@@ -2,30 +2,28 @@
 
 Each configuration is scaled once, at construction, to integer
 coordinates (multiplied by the lcm of all coordinate denominators).
-Relative convexity is affine invariant, so the exact tests below run on
-small integers instead of fractions, and no floating point appears
-anywhere:
+Relative convexity is affine invariant, so every hull test runs
+fraction-free on small integers, and no floating point appears:
 
-* in the plane, hull membership is decided by integer orientation signs
-  against the monotone-chain hull of the subset (A. M. Andrew, 1979);
-* in any other dimension, the equality system "nonnegative coefficients
-  summing to one reproduce the point" is solved over the rationals by
-  Gaussian elimination with an explicit search over column bases, so a
-  feasible instance is recognized through one of its basic feasible
-  solutions;
-* Carathéodory enumeration over small affinely independent subsets is
-  an independent route kept as the test oracle;
-* collinearity, in any dimension, is the vanishing of all 2x2 minors of
-  two integer difference vectors.
+* in the plane, by orientation signs against the monotone-chain hull of
+  the subset (A. M. Andrew, 1979), built once per closure evaluation;
+* in any other dimension, by fraction-free Gauss-Jordan elimination
+  (Bareiss, 1968) of "nonnegative coefficients summing to one reproduce
+  the point", searching the column bases for a basic feasible solution;
+* Carathéodory enumeration of small affinely independent subsets, on
+  the same elimination, is the cross-check;
+* collinearity is the vanishing of the 2x2 minors of two difference
+  vectors, and line covers group point pairs by an integer line key.
 
-From hull membership the module derives the relatively-convex closure
-system of a configuration, its largest convexly independent subsets,
-minimum line covers, and the five-point convex-position property.
+Fractions remain only in the input and in the ``Line`` witnesses.  The
+module derives the relatively-convex closure system, the largest
+convexly independent subsets and minimum line covers (each searched
+once per configuration), and the five-point convex-position property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -54,14 +52,15 @@ class PointConfig:
     dim: int
     points: tuple[Vector, ...]
     labels: tuple[str, ...]
+    ground: GroundSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("dimension must be at least 1")
         if len(self.points) != len(self.labels):
             raise InputError("one label per point required")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("point labels must be unique")
+        # Rejects an empty configuration and repeated labels.
+        object.__setattr__(self, "ground", GroundSet(self.labels))
         for p in self.points:
             if len(p) != self.dim:
                 raise InputError("all coordinate vectors must have the configured dimension")
@@ -69,8 +68,11 @@ class PointConfig:
                 raise InputError("coordinates must be exact rationals")
         if len(set(self.points)) != len(self.points):
             raise InputError("repeated points are rejected")
+        object.__setattr__(self, "_full", self.ground.full_mask)
         object.__setattr__(self, "_hull_memo", {})
+        object.__setattr__(self, "_search_memo", {})
         scale = lcm(*(c.denominator for p in self.points for c in p))
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(
             self,
             "_int_points",
@@ -91,60 +93,51 @@ class PointConfig:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet(self.labels)
 
-
-def _eliminate(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns the matrix and pivot column indices."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination in place: ``row`` becomes
+    ``pivot * row - entry * pivot_row``, divided by the gcd of its entries.
+    Returns the pivot columns; a pivot's variable is its row's last entry
+    over the pivot."""
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if matrix[i][c] != 0), None)
-        if pivot_row is None:
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                rows[r], rows[i] = rows[i], rows[r]
+                break
+        else:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = matrix[r][c]
-        matrix[r] = [v / inv for v in matrix[r]]
-        for i in range(rows):
-            if i != r and matrix[i][c] != 0:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        top = rows[r]
+        a = top[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                reduced = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*reduced)
+                rows[i] = [v // g for v in reduced] if g > 1 else reduced
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == len(rows):
             break
-    return matrix, pivots
+    return pivots
 
 
-def _solve_unique(columns: list[Vector], rhs: Vector) -> list[Fraction] | None:
-    """Solve sum(x_j * columns[j]) = rhs when the columns are independent.
-
-    Returns None when the columns are dependent or the system is
-    inconsistent.
-    """
-    m = len(columns)
-    height = len(rhs)
-    aug = [[columns[j][i] for j in range(m)] + [rhs[i]] for i in range(height)]
-    reduced, pivots = _eliminate(aug)
-    if m in pivots:
-        return None  # inconsistent: pivot in the rhs column
-    if len(pivots) != m:
-        return None  # dependent columns
-    solution = [Fraction(0)] * m
-    for row, c in enumerate(pivots):
-        solution[c] = reduced[row][m]
-    return solution
+def _lifted_system(config: PointConfig, idx, p: int) -> list[list[int]]:
+    """Rows of ``sum_j x_j * (q_j, 1) = (p, 1)`` over the points ``idx``."""
+    ints = config._int_points  # type: ignore[attr-defined]
+    columns = [ints[i] + (1,) for i in idx] + [ints[p] + (1,)]
+    return [list(row) for row in zip(*columns)]
 
 
-def _matrix_rank(vectors: list[Vector]) -> int:
-    if not vectors:
-        return 0
-    _, pivots = _eliminate([list(v) for v in vectors])
-    return len(pivots)
+def _unique_nonnegative(config: PointConfig, idx, p: int) -> bool:
+    """Do the lifted points ``idx`` have independent columns and reproduce
+    ``p`` with nonnegative coefficients?"""
+    rows = _lifted_system(config, idx, p)
+    pivots = _eliminate(rows)
+    m = len(idx)
+    if pivots != list(range(m)):
+        return False  # dependent columns, or a pivot in the rhs column
+    return all(row[m] * row[c] >= 0 for c, row in zip(pivots, rows))
 
 
 def hull_membership(config: PointConfig, y: int, p: int) -> bool:
@@ -154,30 +147,25 @@ def hull_membership(config: PointConfig, y: int, p: int) -> bool:
     use integer orientation tests; other dimensions search the column
     bases of the equality system for a nonnegative basic solution.
     """
-    full = config.ground.full_mask
-    if y & ~full:
+    if y & ~config._full:  # type: ignore[attr-defined]
         raise InputError("subset uses point ids outside the configuration")
     if not 0 <= p < config.size:
         raise InputError("point id out of range")
     memo: dict[tuple[int, int], bool] = config._hull_memo  # type: ignore[attr-defined]
-    key = (y, p)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = _hull_membership_raw(config, y, p)
-    memo[key] = result
-    return result
+    hit = memo.get((y, p))
+    if hit is None:
+        hit = memo[y, p] = bool(y >> p & 1) or (y != 0 and _hull_test(config, y)(p))
+    return hit
 
 
-def _hull_membership_raw(config: PointConfig, y: int, p: int) -> bool:
-    if y >> p & 1:
-        return True
-    if not y:
-        return False
-    if config.dim == 2:
-        ints = config._int_points  # type: ignore[attr-defined]
-        return _in_planar_hull(sorted(ints[i] for i in bits(y)), ints[p])
-    return _hull_membership_bases(config, y, p)
+def _hull_test(config: PointConfig, y: int):
+    """Membership test for the hull of the nonempty subset ``y``; in the
+    plane the hull is built once, here."""
+    if config.dim != 2:
+        return lambda p: _hull_membership_bases(config, y, p)
+    ints = config._int_points  # type: ignore[attr-defined]
+    hull = _planar_hull(sorted(ints[i] for i in bits(y)))
+    return lambda p: _in_planar_hull(hull, ints[p])
 
 
 def _orientation(o: IntVector, a: IntVector, b: IntVector) -> int:
@@ -185,13 +173,10 @@ def _orientation(o: IntVector, a: IntVector, b: IntVector) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _in_planar_hull(points: list[IntVector], q: IntVector) -> bool:
-    """Is ``q`` in the convex hull of the lexicographically sorted ``points``?
-
-    Builds the monotone-chain hull with collinear points dropped, so the
-    vertices run counter-clockwise without repeats; boundary points of
-    the hull (edge interiors included) count as inside.
-    """
+def _planar_hull(points: list[IntVector]) -> list[IntVector]:
+    """Monotone-chain hull of the lexicographically sorted ``points``:
+    counter-clockwise vertices without repeats or collinear points, or the
+    two extremes (one point twice) when all points lie on one line."""
     lower: list[IntVector] = []
     for pt in points:
         while len(lower) >= 2 and _orientation(lower[-2], lower[-1], pt) <= 0:
@@ -203,10 +188,14 @@ def _in_planar_hull(points: list[IntVector], q: IntVector) -> bool:
             upper.pop()
         upper.append(pt)
     hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:
-        # All points on one line: the hull is the segment between the
-        # lexicographic extremes, a single point when they coincide.
-        a, b = points[0], points[-1]
+    return hull if len(hull) > 2 else [points[0], points[-1]]
+
+
+def _in_planar_hull(hull: list[IntVector], q: IntVector) -> bool:
+    """Is ``q`` in the hull from ``_planar_hull``?  Boundary points of the
+    hull (edge interiors included) count as inside."""
+    if len(hull) == 2:
+        a, b = hull
         return _orientation(a, b, q) == 0 and (
             (q[0] - a[0]) * (q[0] - b[0]) <= 0 and (q[1] - a[1]) * (q[1] - b[1]) <= 0
         )
@@ -216,22 +205,15 @@ def _in_planar_hull(points: list[IntVector], q: IntVector) -> bool:
 
 
 def _hull_membership_bases(config: PointConfig, y: int, p: int) -> bool:
-    """Basic-feasible-solution search over Fraction column bases, any dimension."""
+    """Basic-feasible-solution search over integer column bases, any dimension."""
     idx = list(bits(y))
-    target = config.points[p]
-    columns = [config.points[i] + (Fraction(1),) for i in idx]
-    rhs = target + (Fraction(1),)
-    height = config.dim + 1
-    aug = [[columns[j][i] for j in range(len(idx))] + [rhs[i]] for i in range(height)]
-    _, pivots = _eliminate(aug)
+    pivots = _eliminate(_lifted_system(config, idx, p))
     if len(idx) in pivots:
         return False  # rhs not in the column span
-    rank = len(pivots)
-    for basis in combinations(range(len(idx)), rank):
-        solution = _solve_unique([columns[j] for j in basis], rhs)
-        if solution is not None and all(v >= 0 for v in solution):
-            return True
-    return False
+    return any(
+        _unique_nonnegative(config, basis, p)
+        for basis in combinations(idx, len(pivots))
+    )
 
 
 def hull_membership_caratheodory(config: PointConfig, y: int, p: int) -> bool:
@@ -239,20 +221,20 @@ def hull_membership_caratheodory(config: PointConfig, y: int, p: int) -> bool:
     if y >> p & 1:
         return True
     idx = list(bits(y))
-    target = config.points[p]
-    for size in range(1, min(len(idx), config.dim + 1) + 1):
-        for subset in combinations(idx, size):
-            base = config.points[subset[0]]
-            diffs = [
-                tuple(a - b for a, b in zip(config.points[i], base)) for i in subset[1:]
-            ]
-            if _matrix_rank(diffs) != size - 1:
-                continue  # affinely dependent
-            columns = [config.points[i] + (Fraction(1),) for i in subset]
-            solution = _solve_unique(columns, target + (Fraction(1),))
-            if solution is not None and all(v >= 0 for v in solution):
-                return True
-    return False
+    ints = config._int_points  # type: ignore[attr-defined]
+    # A convex combination stays within the coordinate ranges of its
+    # points; no single point of y is p (points are distinct); and a
+    # point inside the hull mostly lies in a full-size simplex, so
+    # larger subsets go first.
+    if not all(
+        col and min(col) <= c <= max(col) for c, *col in zip(ints[p], *(ints[i] for i in idx))
+    ):
+        return False
+    return any(
+        _unique_nonnegative(config, subset, p)
+        for size in range(min(len(idx), config.dim + 1), 1, -1)
+        for subset in combinations(idx, size)
+    )
 
 
 def relconvex_system(config: PointConfig, bound: int | None = None) -> ClosureSystem:
@@ -264,13 +246,17 @@ def relconvex_system(config: PointConfig, bound: int | None = None) -> ClosureSy
         raise CapacityError(
             f"configuration size {config.size} exceeds the enumeration bound {limit}"
         )
-    full = config.ground.full_mask
+    full = config._full  # type: ignore[attr-defined]
+    memo = config._hull_memo  # type: ignore[attr-defined]
 
     def rule(y: int) -> int:
+        if not y:
+            return y
+        inside = _hull_test(config, y)
         out = y
         for x in bits(full & ~y):
-            if hull_membership(config, y, x):
-                out |= 1 << x
+            memo[y, x] = hit = inside(x)
+            out |= hit << x
         return out
 
     return ClosureSystem.from_rule(config.ground, rule)
@@ -288,6 +274,9 @@ def _is_convexly_independent(config: PointConfig, members: list[int]) -> bool:
 
 def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]:
     """Largest subset with no point inside the hull of the others."""
+    memo = config._search_memo  # type: ignore[attr-defined]
+    if "independent" in memo:
+        return memo["independent"]
     n = config.size
     if n > 16:
         raise CapacityError(f"configuration size {n} exceeds the search bound 16")
@@ -307,6 +296,7 @@ def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]
                 extend(nxt + 1, candidate)
 
     extend(0, [])
+    memo["independent"] = best_size, best
     return best_size, best
 
 
@@ -326,64 +316,58 @@ class Line:
         )
 
 
-def line_through(p: Vector, q: Vector) -> Line:
-    if p == q:
-        raise InputError("a line needs two distinct points")
-    raw = [b - a for a, b in zip(p, q)]
-    scale = lcm(*(f.denominator for f in raw))
-    ints = [int(f * scale) for f in raw]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    pivot = next(i for i, d in enumerate(ints) if d != 0)
-    if ints[pivot] < 0:
-        ints = [-v for v in ints]
-    t = p[pivot] / ints[pivot]
-    base = tuple(c - t * d for c, d in zip(p, ints))
-    return Line(base, tuple(ints))
-
-
-def point_line(p: Vector) -> Line:
-    """Canonical witness line for an isolated point (first-axis direction)."""
-    direction = tuple([1] + [0] * (len(p) - 1))
-    base = (Fraction(0),) + tuple(p[1:])
-    return Line(base, direction)
+def _line_key(p: IntVector, q: IntVector) -> tuple[IntVector, IntVector]:
+    """Integer normal form ``(offsets, d)`` of the line through ``p != q``:
+    ``d`` is primitive with ``d[k] > 0`` at its first nonzero entry, and
+    ``offsets[i] = x[i] * d[k] - x[k] * d[i]``, the same for every point
+    ``x`` of the line, is ``d[k]`` times the scaled ``Line`` base."""
+    d = [b - a for a, b in zip(p, q)]
+    k = next(i for i, v in enumerate(d) if v)
+    g = gcd(*d) if d[k] > 0 else -gcd(*d)
+    direction = tuple(v // g for v in d)
+    return tuple(a * direction[k] - p[k] * v for a, v in zip(p, direction)), direction
 
 
 def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
     """Minimum number of lines covering all points, with witness lines.
 
-    Candidates are lines through point pairs plus per-point fallbacks;
-    an optimal cover can always be assumed to use pair lines wherever a
-    line carries two or more points.
+    Candidates are lines through point pairs plus per-point fallbacks
+    along the first axis; an optimal cover can always be assumed to use
+    pair lines wherever a line carries two or more points.
     """
+    memo = config._search_memo  # type: ignore[attr-defined]
+    if "cover" in memo:
+        return memo["cover"]
     n = config.size
     if n > 16:
         raise CapacityError(f"configuration size {n} exceeds the search bound 16")
-    if n == 1:
-        return 1, (point_line(config.points[0]),)
     ints = config._int_points  # type: ignore[attr-defined]
-    # Two or more points determine their line, so the mask of points a
-    # line carries identifies it; each line is built once.
-    lines: dict[int, Line] = {}
+    lines: dict[tuple[IntVector, IntVector], int] = {}
     for i, j in combinations(range(n), 2):
-        mask = sum(
-            1 << k for k in range(n) if _collinear(ints[i], ints[j], ints[k])
-        )
-        if mask not in lines:
-            lines[mask] = line_through(config.points[i], config.points[j])
-    candidates = sorted((ln, m) for m, ln in lines.items())
-    full = (1 << n) - 1
-    max_cover = max(popcount(m) for m in lines)
-    best_count = n
-    best_lines: tuple[Line, ...] = tuple(point_line(p) for p in config.points)
+        key = _line_key(ints[i], ints[j])
+        lines[key] = lines.get(key, 0) | 1 << i | 1 << j
+    fallback = [_line_key(p, (p[0] + 1,) + p[1:]) for p in ints]
+    # Offsets scaled to the common denominator `unit` compare as the
+    # rational Line bases do, so this key orders lines as Line does.
+    unit = lcm(*(next(filter(None, d)) for _, d in lines))
 
-    def search(covered: int, chosen: list[Line]) -> None:
+    def order(key: tuple[IntVector, IntVector]) -> tuple[IntVector, IntVector]:
+        offsets, d = key
+        return tuple(o * (unit // next(filter(None, d))) for o in offsets), d
+
+    candidates = sorted(lines.items(), key=lambda item: order(item[0]))
+    full = config._full  # type: ignore[attr-defined]
+    max_cover = max(map(popcount, lines.values()), default=1)
+    best_count = n
+    best_lines = fallback
+
+    def search(covered: int, chosen: list[tuple[IntVector, IntVector]]) -> None:
         nonlocal best_count, best_lines
         remaining = popcount(full & ~covered)
         if remaining == 0:
             if len(chosen) < best_count:
                 best_count = len(chosen)
-                best_lines = tuple(chosen)
+                best_lines = chosen
             return
         if len(chosen) + (remaining + max_cover - 1) // max_cover >= best_count:
             return
@@ -394,10 +378,15 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
         options.sort(key=lambda item: -popcount(item[1] & ~covered))
         for ln, m in options:
             search(covered | m, chosen + [ln])
-        search(covered | (1 << target), chosen + [point_line(config.points[target])])
+        search(covered | (1 << target), chosen + [fallback[target]])
 
     search(0, [])
-    return best_count, tuple(sorted(best_lines))
+    scale = config._scale  # type: ignore[attr-defined]
+    memo["cover"] = best_count, tuple(
+        Line(tuple(Fraction(o, scale * next(filter(None, d))) for o in offsets), d)
+        for offsets, d in sorted(best_lines, key=order)
+    )
+    return memo["cover"]
 
 
 def _collinear(p: IntVector, q: IntVector, r: IntVector) -> bool:

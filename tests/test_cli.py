@@ -178,6 +178,8 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     assert run_cli(capsys, "gen", "omega:13")[0] == 3
     assert run_cli(capsys, "gen", "nonsense:1")[0] == 2
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"), "anti-exchange")[0] == 2
+    no_points = write(tmp_path, "empty.json", {"dim": 2, "points": []})
+    assert run_cli(capsys, "gen", f"points:{no_points}")[0] == 2
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Exact rational hull membership and the derived point-set quantities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,15 +25,98 @@ from convexitylab import (
     relconvex_system,
     restrict,
 )
+from convexitylab import relconvex
 from convexitylab.bitset import bits
-from convexitylab.relconvex import (
-    Line,
-    _hull_membership_bases,
-    _matrix_rank,
-    has_collinear_triple,
-    line_through,
-    point_line,
-)
+from convexitylab.relconvex import Line, _hull_membership_bases, has_collinear_triple
+
+# ------------------------------------------------- Fraction oracles
+# The library's hull routes run fraction-free on integer-scaled points.
+# These are the earlier rational routes, kept as independent oracles on
+# the raw rational coordinates.
+
+
+def fraction_eliminate(matrix):
+    """Row-reduce in place; returns the matrix and pivot column indices."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if matrix[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        inv = matrix[r][c]
+        matrix[r] = [v / inv for v in matrix[r]]
+        for i in range(rows):
+            if i != r and matrix[i][c] != 0:
+                factor = matrix[i][c]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return matrix, pivots
+
+
+def fraction_solve_unique(columns, rhs):
+    """Solve sum(x_j * columns[j]) = rhs when the columns are independent;
+    None when they are dependent or the system is inconsistent."""
+    m = len(columns)
+    aug = [[col[i] for col in columns] + [rhs[i]] for i in range(len(rhs))]
+    reduced, pivots = fraction_eliminate(aug)
+    if m in pivots or len(pivots) != m:
+        return None
+    solution = [Fraction(0)] * m
+    for row, c in enumerate(pivots):
+        solution[c] = reduced[row][m]
+    return solution
+
+
+def fraction_rank(vectors):
+    if not vectors:
+        return 0
+    return len(fraction_eliminate([list(map(Fraction, v)) for v in vectors])[1])
+
+
+def fraction_caratheodory(config, y, p):
+    """Scan affinely independent subsets of size <= d+1 over the rationals."""
+    if y >> p & 1:
+        return True
+    idx = list(bits(y))
+    target = config.points[p]
+    for size in range(1, min(len(idx), config.dim + 1) + 1):
+        for subset in combinations(idx, size):
+            base = config.points[subset[0]]
+            diffs = [
+                tuple(a - b for a, b in zip(config.points[i], base)) for i in subset[1:]
+            ]
+            if fraction_rank(diffs) != size - 1:
+                continue  # affinely dependent
+            columns = [config.points[i] + (Fraction(1),) for i in subset]
+            solution = fraction_solve_unique(columns, target + (Fraction(1),))
+            if solution is not None and all(v >= 0 for v in solution):
+                return True
+    return False
+
+
+def line_through(p, q):
+    """The canonical ``Line`` through two distinct rational points."""
+    raw = [b - a for a, b in zip(p, q)]
+    scale = lcm(*(f.denominator for f in raw))
+    ints = [int(f * scale) for f in raw]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    pivot = next(i for i, d in enumerate(ints) if d != 0)
+    if ints[pivot] < 0:
+        ints = [-v for v in ints]
+    t = p[pivot] / ints[pivot]
+    return Line(tuple(c - t * d for c, d in zip(p, ints)), tuple(ints))
+
+
+def point_line(p):
+    """The canonical witness line for an isolated point (first-axis direction)."""
+    return Line((Fraction(0),) + tuple(p[1:]), tuple([1] + [0] * (len(p) - 1)))
 
 
 def square_corners():
@@ -51,6 +136,15 @@ def test_config_rejects_duplicates_and_bad_shapes():
         PointConfig.from_coords(0, [()])
     with pytest.raises(InputError):
         PointConfig(2, ((0.5, 1),), ("a",))
+    with pytest.raises(InputError):
+        PointConfig.from_coords(2, [(0, 0), (1, 0)], "aa")
+    # An empty configuration is rejected at construction, so the searches
+    # never see one (min_line_cover used to fail on it with a bare
+    # ValueError, and max_convexly_independent answered (0, ())).
+    with pytest.raises(InputError):
+        min_line_cover(PointConfig.from_coords(2, []))
+    with pytest.raises(InputError):
+        max_convexly_independent(PointConfig.from_coords(2, []))
 
 
 def test_hull_membership_trivial_cases():
@@ -112,8 +206,34 @@ def test_planar_kernel_matches_fraction_routes(config):
     for y in range(1 << n):
         for p in range(n):
             fast = hull_membership(config, y, p)
-            assert fast == hull_membership_caratheodory(config, y, p), (y, p)
+            assert fast == fraction_caratheodory(config, y, p), (y, p)
             assert fast == _hull_membership_bases(config, y, p), (y, p)
+
+
+@given(
+    st.sampled_from((1, 2, 3)).flatmap(
+        lambda dim: grid_configs(dim, side={1: 6, 2: 4, 3: 3}[dim], max_size=5)
+    )
+)
+@example(  # 3-D: a collinear triple inside a coplanar quadruple, one apex
+    PointConfig.from_coords(3, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 1)])
+)
+@example(  # 3-D: a square with its center, and a point above the center
+    PointConfig.from_coords(
+        3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 1, 2)]
+    )
+)
+@example(PointConfig.from_coords(1, [(0,), (Fraction(1, 2),), (3,), (-1,)]))
+@settings(max_examples=90)
+def test_integer_routes_match_fraction_oracle(config):
+    """The fraction-free Carathéodory and basis routes decide every (Y, p)
+    as the rational Carathéodory oracle does, in dimensions 1 to 3."""
+    n = config.size
+    for y in range(1 << n):
+        for p in range(n):
+            truth = fraction_caratheodory(config, y, p)
+            assert hull_membership_caratheodory(config, y, p) == truth, (y, p)
+            assert _hull_membership_bases(config, y, p) == truth, (y, p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -127,7 +247,7 @@ def test_collinear_triples_match_rank_oracle(dim, data):
             tuple(b - a for a, b in zip(p, q)),
             tuple(b - a for a, b in zip(p, r)),
         ]
-        assert has_collinear_triple(config, triple) == (_matrix_rank(diffs) <= 1)
+        assert has_collinear_triple(config, triple) == (fraction_rank(diffs) <= 1)
 
 
 def oracle_relconvex_family(config):
@@ -137,7 +257,7 @@ def oracle_relconvex_family(config):
     for y in range(1 << n):
         closed = y
         for x in range(n):
-            if hull_membership_caratheodory(config, y, x):
+            if fraction_caratheodory(config, y, x):
                 closed |= 1 << x
         family.add(closed)
     return family
@@ -212,7 +332,7 @@ def oracle_max_independent(config):
         if len(members) <= best:
             continue
         if all(
-            not hull_membership_caratheodory(config, mask & ~(1 << i), i)
+            not fraction_caratheodory(config, mask & ~(1 << i), i)
             for i in members
         ):
             best = len(members)
@@ -255,6 +375,114 @@ def test_min_line_cover_examples():
         assert any(line.contains(point) for line in lines)
 
 
+TIED = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "coords, expected",
+    [
+        (
+            [(i, 0) for i in range(4)] + [(i, 1) for i in range(4)],
+            [(("0", "0"), (1, 0)), (("0", "1"), (1, 0))],
+        ),
+        (
+            [(0, i) for i in range(3)] + [(2, i) for i in range(3)] + [(5, 1)],
+            [(("0", "-2/3"), (3, 1)), (("0", "0"), (0, 1)), (("2", "0"), (0, 1))],
+        ),
+        (
+            TIED,
+            [(("0", "-3/2"), (2, 3)), (("0", "0"), (0, 1)), (("0", "2"), (1, -1))],
+        ),
+        (
+            [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 1), (1, 3)],
+            [(("0", "-1/2"), (2, 1)), (("0", "0"), (1, 1)), (("0", "1"), (1, 2))],
+        ),
+        (
+            [(Fraction(1, 2) + x * Fraction(3, 2), Fraction(1, 3) + y * Fraction(3, 2))
+             for x, y in TIED],
+            [(("0", "-1/6"), (1, 1)), (("0", "1/3"), (1, 0)), (("1/2", "0"), (0, 1))],
+        ),
+        (
+            [(0, 2), (2, 1), (2, 2), (3, 0), (3, 3)],
+            [(("0", "-3"), (1, 2)), (("0", "2"), (1, 0)), (("0", "2"), (3, -2))],
+        ),
+        (
+            [(1, 1), (2, 2), (2, 3), (3, 0), (3, 2)],
+            [(("0", "-1"), (1, 2)), (("0", "3/2"), (2, -1)), (("0", "2"), (1, 0))],
+        ),
+    ],
+    ids=[
+        "parallel", "vertical", "grid-tied", "grid-tied-2", "grid-tied-scaled",
+        "grid-slopes", "grid-slopes-order",
+    ],
+)
+def test_min_line_cover_witnesses_pinned(coords, expected):
+    """Witness lines as recorded before the integer line keys.  The grid
+    subsets have several optimal covers (7 for the first two), so the
+    witness depends on the candidate order, which must stay the order of
+    ``Line``; the last two also need lines of different pivot entries
+    compared as ``Line`` compares them."""
+    config = PointConfig.from_coords(2, coords)
+    count, lines = min_line_cover(config)
+    assert count == len(expected)
+    assert [(tuple(map(str, ln.base)), ln.direction) for ln in lines] == expected
+    oracle_lines = {line_through(p, q) for p, q in combinations(config.points, 2)}
+    assert set(lines) <= oracle_lines | {point_line(p) for p in config.points}
+
+
+def test_one_hull_build_per_closure_call(monkeypatch):
+    """Each closure evaluation builds the hull of Y once and tests every
+    outside point against it."""
+    builds = []
+    build = relconvex._planar_hull
+    monkeypatch.setattr(
+        relconvex, "_planar_hull", lambda points: builds.append(1) or build(points)
+    )
+    config = PointConfig.from_coords(2, TIED)
+    system = relconvex_system(config)
+    rule = system._rule
+    calls = []
+
+    def counted_rule(y):
+        before = len(builds)
+        closed = rule(y)
+        calls.append(len(builds) - before)
+        return closed
+
+    monkeypatch.setattr(system, "_rule", counted_rule)
+    family = set(system.enumerate_closed_sets().masks)
+    assert family == oracle_relconvex_family(config)
+    assert calls and max(calls) == 1 and sum(calls) == len(builds)
+
+
+def test_searches_run_once_per_configuration(monkeypatch):
+    """The independent-set search (its subset tests) and the line-cover
+    search (one integer line key per point pair and per point) run on
+    the first call only; the report and later calls reuse them."""
+    work = Counter()
+
+    def counted(name):
+        step = getattr(relconvex, name)
+
+        def run(*args):
+            work[name] += 1
+            return step(*args)
+
+        return run
+
+    for name in ("_is_convexly_independent", "_line_key"):
+        monkeypatch.setattr(relconvex, name, counted(name))
+    config = PointConfig.from_coords(2, TIED)
+    independent = max_convexly_independent(config)
+    cover = min_line_cover(config)
+    first = dict(work)
+    assert first == {"_is_convexly_independent": 57, "_line_key": 21 + 7}
+    ind, lines, _ = dimension_sandwich_report(config)
+    assert (ind, lines) == (independent[0], cover[0])
+    assert (max_convexly_independent(config), min_line_cover(config)) == (independent, cover)
+    assert work == first
+
+
 def test_min_line_cover_witness_covers_isolated_points():
     config = PointConfig.from_coords(2, [(0, 0)])
     count, lines = min_line_cover(config)
@@ -270,6 +498,9 @@ def test_line_canonicalization():
     assert vertical.direction == (0, 1)
     assert vertical.base[0] == 2
     assert isinstance(point_line((Fraction(1), Fraction(2))), Line)
+    # The library's integer line keys produce the same canonical lines.
+    assert min_line_cover(PointConfig.from_coords(2, [(3, 3), (1, 1)]))[1] == (a,)
+    assert min_line_cover(PointConfig.from_coords(2, [(2, 5), (2, 0)]))[1] == (vertical,)
 
 
 def test_monotone_growth_of_ind_and_line():
