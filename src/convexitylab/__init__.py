@@ -7,7 +7,6 @@ from .closure import (
     GroundSet,
     MaximalChain,
     chain_retraction,
-    close,
     enumerate_closed_sets,
     join_of_systems,
     maximal_chains,

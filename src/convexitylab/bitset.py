@@ -6,7 +6,7 @@ the containment-least superset of a mask is also its numerically
 smallest superset.
 """
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -34,3 +34,19 @@ def is_subset(a: int, b: int) -> bool:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def superset_rows(masks: Sequence[int]) -> tuple[int, ...]:
+    """Row i is the mask of the positions j with masks[i] <= masks[j]:
+    the AND, over the elements of masks[i], of the positions holding them."""
+    holding: dict[int, int] = {}
+    for k, m in enumerate(masks):
+        for x in bits(m):
+            holding[x] = holding.get(x, 0) | 1 << k
+    rows = []
+    for m in masks:
+        row = (1 << len(masks)) - 1
+        for x in bits(m):
+            row &= holding[x]
+        rows.append(row)
+    return tuple(rows)

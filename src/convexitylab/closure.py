@@ -21,8 +21,9 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from . import config
-from .bitset import bits, is_subset
+from .bitset import bits, is_subset, superset_rows
 from .errors import CapacityError, InputError
+from .posets import CoverQueries, Covers, cover_tuples
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,6 @@ class ClosureSystem:
         return f"ClosureSystem({kind}, n={self.ground.size})"
 
 
-def close(system: ClosureSystem, y: int) -> int:
-    return system.close(y)
-
-
 def _next_closure(system: ClosureSystem, current: int, n: int) -> int | None:
     """Lectic successor of a closed set (NextClosure step)."""
     a = current
@@ -206,11 +203,13 @@ def enumerate_closed_sets(system: ClosureSystem, bound: int | None = None) -> "C
 
 
 @dataclass(frozen=True)
-class ClosedSetLattice:
+class ClosedSetLattice(CoverQueries):
     """Enumerated closed sets with containment order.
 
     Joins are closures of unions; meets are intersections.  The family
-    is intersection-closed, so every meet is again a member.
+    is intersection-closed, so every meet is again a member.  Covers are
+    built on first use; ``lattices.as_lattice`` keeps its conversion in
+    ``_lattice``.
     """
 
     ground: GroundSet
@@ -219,9 +218,10 @@ class ClosedSetLattice:
     _join_memo: dict[tuple[int, int], int] = field(
         init=False, repr=False, hash=False, compare=False
     )
-    _covers: list[tuple[int, int]] = field(
+    _covers: Covers = field(
         init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
     )
+    _lattice: object = field(init=False, default=None, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.masks) != sorted(set(self.masks)):
@@ -277,32 +277,14 @@ class ClosedSetLattice:
         n = self.size
         return [[self.meet(i, j) for j in range(n)] for i in range(n)]
 
+    def _cover_tuples(self) -> Covers:
+        if self._covers is None:
+            object.__setattr__(self, "_covers", cover_tuples(superset_rows(self.masks)))
+        return self._covers
+
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (i, j) with masks[i] covered by masks[j]."""
-        if self._covers is None:
-            edges = []
-            n = self.size
-            for i in range(n):
-                uppers = [j for j in range(n) if j != i and self.leq(i, j)]
-                for j in uppers:
-                    if not any(k != j and self.leq(k, j) for k in uppers):
-                        edges.append((i, j))
-            object.__setattr__(self, "_covers", sorted(edges))
-        return tuple(self._covers)
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(j for a, j in self.covers() if a == i)
-
-    def lower_covers(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i, b in self.covers() if b == j)
-
-    def join_irreducibles(self) -> tuple[int, ...]:
-        """Indices of elements with exactly one lower cover."""
-        return tuple(i for i in range(self.size) if len(self.lower_covers(i)) == 1)
-
-    def meet_irreducibles(self) -> tuple[int, ...]:
-        """Indices of elements with exactly one upper cover (top excluded)."""
-        return tuple(i for i in range(self.size) if len(self.upper_covers(i)) == 1)
+        return self.hasse_edges()
 
     def closure_of_singleton(self, element: int) -> int:
         """Index of the least closed set containing the given ground element."""

@@ -155,8 +155,10 @@ class ChainProductEmbedding:
 
 def _extend_to_maximal_chain(lat: Lattice, chain: tuple[int, ...]) -> tuple[int, ...]:
     """Insert the least insertable element repeatedly until maximal."""
-    members = list(chain)
-    members.sort(key=lambda e: sum(1 for j in range(lat.size) if lat.leq(j, e)))
+    def height(e: int) -> int:
+        return lat.down_mask(e).bit_count()
+
+    members = sorted(chain, key=height)
     while True:
         inserted = False
         for z in range(lat.size):
@@ -164,9 +166,7 @@ def _extend_to_maximal_chain(lat: Lattice, chain: tuple[int, ...]) -> tuple[int,
                 continue
             if all(lat.leq(z, c) or lat.leq(c, z) for c in members):
                 members.append(z)
-                members.sort(
-                    key=lambda e: sum(1 for j in range(lat.size) if lat.leq(j, e))
-                )
+                members.sort(key=height)
                 inserted = True
                 break
         if not inserted:

@@ -1,9 +1,13 @@
 """Abstract finite lattices and join-semilattices.
 
-``Lattice`` carries opaque element ids with an order relation; join
-and meet are derived and validated (unique least upper / greatest
-lower bounds must exist).  ``JoinSemilattice`` needs only a total join
-operation; the order is recovered from it.
+``Lattice`` carries opaque element ids with an order relation given by
+bitmask up-rows.  Its down-rows, join and meet tables and cover tuples
+are built once, in O(n^2) mask operations: the upper bounds of i and j
+form ``up[i] & up[j]``, which is the up-row of their join when the join
+exists, so one lookup per pair both validates and indexes the join
+(meets likewise on down-rows).  A missing bound raises ``InputError``.
+``JoinSemilattice`` needs only a total join operation; the order is
+recovered from it.
 """
 
 from __future__ import annotations
@@ -11,59 +15,48 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from .bitset import bits, is_subset
+from .bitset import bits, superset_rows
 from .closure import ClosedSetLattice
 from .errors import InputError
-from .posets import FinitePoset
+from .posets import CoverQueries, Covers, FinitePoset, cover_tuples
+
+_Table = tuple[tuple[int, ...], ...]
+
+
+def _bound_table(labels: tuple[str, ...], rows: tuple[int, ...], kind: str) -> _Table:
+    """Row-major table of least upper bounds (given up-rows) or greatest
+    lower bounds (given down-rows); the first pair without one, in
+    row-major order, is reported."""
+    by_row = {row: k for k, row in enumerate(rows)}
+    table: list[list[int | None]] = []
+    for i, ri in enumerate(rows):
+        row = [table[j][i] for j in range(i)]
+        row += [by_row.get(ri & rj) for rj in rows[i:]]
+        if None in row:
+            j = row.index(None)
+            raise InputError(f"not a lattice: {labels[i]} and {labels[j]} have no {kind}")
+        table.append(row)
+    return tuple(map(tuple, table))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
-class Lattice:
+class Lattice(CoverQueries):
     """Finite lattice over element ids 0..size-1."""
 
     labels: tuple[str, ...]
     up: tuple[int, ...]
-    _join: tuple[tuple[int, ...], ...] = field(
-        init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
-    )
-    _meet: tuple[tuple[int, ...], ...] = field(
-        init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
-    )
-    _hasse: tuple[tuple[int, int], ...] = field(
-        init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
-    )
+    _down: tuple[int, ...] = field(init=False, repr=False, hash=False, compare=False)
+    _join: _Table = field(init=False, repr=False, hash=False, compare=False)
+    _meet: _Table = field(init=False, repr=False, hash=False, compare=False)
+    _covers: Covers = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
-        FinitePoset(self.labels, self.up)  # order axioms
-        object.__setattr__(self, "_join", self._bound_table(upper=True))
-        object.__setattr__(self, "_meet", self._bound_table(upper=False))
-
-    def _bound_table(self, upper: bool) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.up[j] >> i & 1:
-                    down[i] |= 1 << j
-        rows = self.up if upper else tuple(down)
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                common = rows[i] & rows[j]
-                best = None
-                for k in bits(common):
-                    if is_subset(common, rows[k]):
-                        best = k
-                        break
-                if best is None:
-                    kind = "join" if upper else "meet"
-                    raise InputError(
-                        f"not a lattice: {self.labels[i]} and {self.labels[j]} have no {kind}"
-                    )
-                row.append(best)
-            table.append(tuple(row))
-        return tuple(table)
+        poset = FinitePoset(self.labels, self.up)  # order axioms
+        down = tuple(map(poset.down, range(self.size)))
+        object.__setattr__(self, "_down", down)
+        object.__setattr__(self, "_join", _bound_table(self.labels, self.up, "join"))
+        object.__setattr__(self, "_meet", _bound_table(self.labels, down, "meet"))
+        object.__setattr__(self, "_covers", cover_tuples(self.up))
 
     @property
     def size(self) -> int:
@@ -92,35 +85,11 @@ class Lattice:
                 return i
         raise InputError("lattice has no top element")
 
-    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        if self._hasse is None:
-            edges = []
-            for i in range(self.size):
-                above = [j for j in bits(self.up[i]) if j != i]
-                for j in above:
-                    if not any(k != j and self.leq(k, j) for k in above):
-                        edges.append((i, j))
-            object.__setattr__(self, "_hasse", tuple(sorted(edges)))
-        return self._hasse
-
-    def lower_covers(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i, b in self.hasse_edges() if b == j)
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(j for a, j in self.hasse_edges() if a == i)
-
-    def join_irreducibles(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if len(self.lower_covers(i)) == 1)
-
-    def meet_irreducibles(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if len(self.upper_covers(i)) == 1)
+    def _cover_tuples(self) -> Covers:
+        return self._covers
 
     def down_mask(self, i: int) -> int:
-        out = 0
-        for j in range(self.size):
-            if self.leq(j, i):
-                out |= 1 << j
-        return out
+        return self._down[i]
 
     def join_of_set(self, ids: Sequence[int]) -> int:
         out = self.bottom
@@ -135,13 +104,7 @@ class Lattice:
         return out
 
     def dual(self) -> "Lattice":
-        n = self.size
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.leq(j, i):
-                    down[i] |= 1 << j
-        return Lattice(self.labels, tuple(down))
+        return Lattice(self.labels, self._down)
 
     def to_poset(self) -> FinitePoset:
         return FinitePoset(self.labels, self.up)
@@ -151,17 +114,14 @@ class Lattice:
 
 
 def as_lattice(source: "Lattice | ClosedSetLattice") -> Lattice:
-    """Coerce a closed-set lattice (or pass a lattice through)."""
+    """Coerce a closed-set lattice, converted once and kept on it (or pass
+    a lattice through)."""
     if isinstance(source, Lattice):
         return source
-    n = source.size
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if source.leq(i, j):
-                up[i] |= 1 << j
-    labels = tuple(source.ground.format_set(m) for m in source.masks)
-    return Lattice(labels, tuple(up))
+    if source._lattice is None:
+        labels = tuple(source.ground.format_set(m) for m in source.masks)
+        object.__setattr__(source, "_lattice", Lattice(labels, superset_rows(source.masks)))
+    return source._lattice
 
 
 def chain_lattice(n: int) -> Lattice:
@@ -175,10 +135,7 @@ def boolean_lattice(atoms: int) -> Lattice:
     """Powerset of ``atoms`` generators; element ids are the subsets."""
     n = 1 << atoms
     labels = tuple("{" + ",".join(str(b) for b in bits(m)) + "}" for m in range(n))
-    up = tuple(
-        sum(1 << j for j in range(n) if is_subset(m, j)) for m in range(n)
-    )
-    return Lattice(labels, up)
+    return Lattice(labels, superset_rows(range(n)))
 
 
 def m3() -> Lattice:
@@ -202,11 +159,7 @@ def downset_lattice(poset: FinitePoset) -> Lattice:
     labels = tuple(
         "{" + ",".join(poset.labels[i] for i in bits(m)) + "}" for m in masks
     )
-    up = tuple(
-        sum(1 << j for j, mj in enumerate(masks) if is_subset(mi, mj))
-        for mi in masks
-    )
-    return Lattice(labels, up)
+    return Lattice(labels, superset_rows(masks))
 
 
 class JoinSemilattice:

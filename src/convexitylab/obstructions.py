@@ -92,12 +92,6 @@ class EmbeddingMap:
         return True
 
 
-def _processing_order(pattern: JoinSemilattice) -> list[int]:
-    n = pattern.size
-    depth = [sum(1 for j in range(n) if pattern.leq(j, i)) for i in range(n)]
-    return sorted(range(n), key=lambda i: (depth[i], i))
-
-
 def embeds_as_join_subsemilattice(
     pattern: JoinSemilattice, host: JoinSemilattice
 ) -> EmbeddingMap | None:
@@ -105,7 +99,10 @@ def embeds_as_join_subsemilattice(
 
     Deterministic: pattern elements are processed along a fixed linear
     extension and host candidates are tried in increasing id order, so
-    the reported embedding is the least one in that sense.
+    the reported embedding is the least one in that sense.  The pattern
+    order comes from its join table; order and forced joins against an
+    assigned host element are read from that element's row of joins,
+    built with ``host.size`` joins the first time it is assigned.
     """
     if pattern.size > 24:
         raise CapacityError(f"pattern size {pattern.size} exceeds the bound 24")
@@ -113,14 +110,16 @@ def embeds_as_join_subsemilattice(
         raise CapacityError(f"host size {host.size} exceeds the bound 10000")
     if pattern.size > host.size:
         return None
-    order = _processing_order(pattern)
-    position = {e: k for k, e in enumerate(order)}
+    n = pattern.size
+    joins = [[pattern.join(i, j) for j in range(n)] for i in range(n)]
+    depth = [sum(joins[j][i] == i for j in range(n)) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (depth[i], i))
     # Forced elements: a join of two earlier elements in the extension.
     witness_pair: dict[int, tuple[int, int]] = {}
-    for e in order:
-        for a in order[: position[e]]:
-            for b in order[: position[e]]:
-                if a <= b and pattern.join(a, b) == e:
+    for k, e in enumerate(order):
+        for a in order[:k]:
+            for b in order[:k]:
+                if a <= b and joins[a][b] == e:
                     witness_pair[e] = (a, b)
                     break
             if e in witness_pair:
@@ -128,14 +127,20 @@ def embeds_as_join_subsemilattice(
 
     assigned: dict[int, int] = {}
     used: set[int] = set()
+    host_joins: dict[int, list[int]] = {}  # host id -> its joins with every host id
+
+    def assign(p: int, h: int) -> None:
+        assigned[p] = h
+        used.add(h)
+        if h not in host_joins:
+            host_joins[h] = [host.join(h, g) for g in range(host.size)]
 
     def consistent(p: int, h: int) -> bool:
         if h in used:
             return False
         for q, hq in assigned.items():
-            if pattern.leq(p, q) != host.leq(h, hq):
-                return False
-            if pattern.leq(q, p) != host.leq(hq, h):
+            j = host_joins[hq][h]
+            if (joins[p][q] == q) != (j == hq) or (joins[q][p] == p) != (j == h):
                 return False
         return True
 
@@ -151,11 +156,10 @@ def embeds_as_join_subsemilattice(
         p = order[k]
         pair = witness_pair.get(p)
         if pair is not None:
-            h = host.join(assigned[pair[0]], assigned[pair[1]])
+            h = host_joins[assigned[pair[0]]][assigned[pair[1]]]
             if not consistent(p, h):
                 return None
-            assigned[p] = h
-            used.add(h)
+            assign(p, h)
             found = search(k + 1)
             if found is None:
                 del assigned[p]
@@ -164,8 +168,7 @@ def embeds_as_join_subsemilattice(
         for h in range(host.size):
             if not consistent(p, h):
                 continue
-            assigned[p] = h
-            used.add(h)
+            assign(p, h)
             found = search(k + 1)
             if found is not None:
                 return found
@@ -173,7 +176,12 @@ def embeds_as_join_subsemilattice(
             used.discard(h)
         return None
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        # search refers to itself: dropping it frees the host and its rows
+        # now, not at the next full garbage collection.
+        del search
 
 
 def independent_sets(

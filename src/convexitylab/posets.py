@@ -2,11 +2,14 @@
 
 Elements are ids 0..size-1 with display labels.  The order is stored
 transitively closed as bitmask up-rows (``up[i]`` = mask of elements
->= i, including i); Hasse edges are cached.
+>= i, including i); the down-rows are built once beside them.  Covers
+come from the up-rows by ``cover_tuples``, and ``CoverQueries`` answers
+the cover questions of posets and lattices from them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .bitset import bits, is_subset
@@ -29,13 +32,61 @@ def transitive_closure(rows: list[int]) -> list[int]:
     return out
 
 
+Covers = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+def cover_tuples(up: Sequence[int]) -> Covers:
+    """Upper and lower covers of every element of an order given by its
+    up-rows, each ascending: the upper covers of i are its strict up-set
+    minus the strict up-sets of the members of that set."""
+    upper = []
+    lower: list[list[int]] = [[] for _ in up]
+    for i, row in enumerate(up):
+        strict = row & ~(1 << i)
+        above = 0
+        for k in bits(strict):
+            above |= up[k] & ~(1 << k)
+        covers = tuple(bits(strict & ~above))
+        upper.append(covers)
+        for j in covers:
+            lower[j].append(i)
+    return tuple(upper), tuple(map(tuple, lower))
+
+
+class CoverQueries:
+    """Hasse edges, covers and irreducibles of an order, read from the
+    (upper, lower) cover tuples that ``_cover_tuples`` returns."""
+
+    def _cover_tuples(self) -> Covers:
+        raise NotImplementedError
+
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        upper, _ = self._cover_tuples()
+        return tuple((i, j) for i, covers in enumerate(upper) for j in covers)
+
+    def upper_covers(self, i: int) -> tuple[int, ...]:
+        return self._cover_tuples()[0][i]
+
+    def lower_covers(self, j: int) -> tuple[int, ...]:
+        return self._cover_tuples()[1][j]
+
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """Elements with exactly one lower cover."""
+        return tuple(i for i, below in enumerate(self._cover_tuples()[1]) if len(below) == 1)
+
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """Elements with exactly one upper cover (the top has none)."""
+        return tuple(i for i, above in enumerate(self._cover_tuples()[0]) if len(above) == 1)
+
+
 @dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(CoverQueries):
     """Partial order given by reflexive-transitive up-set rows."""
 
     labels: tuple[str, ...]
     up: tuple[int, ...]
-    _hasse: tuple[tuple[int, int], ...] = field(
+    _down: tuple[int, ...] = field(init=False, repr=False, hash=False, compare=False)
+    _covers: Covers = field(
         init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
     )
 
@@ -50,14 +101,17 @@ class FinitePoset:
                 raise InputError("order must be reflexive")
             if row & ~((1 << n) - 1):
                 raise InputError("up-row references elements outside the poset")
+        down = [0] * n
         for i in range(n):
             for j in bits(self.up[i]):
+                down[j] |= 1 << i
                 if i != j and self.up[j] >> i & 1:
                     raise InputError(
                         f"antisymmetry violated by {self.labels[i]} and {self.labels[j]}"
                     )
                 if not is_subset(self.up[j], self.up[i]):
                     raise InputError("order must be transitively closed")
+        object.__setattr__(self, "_down", tuple(down))
 
     @classmethod
     def from_covers(
@@ -99,18 +153,12 @@ class FinitePoset:
 
     def down(self, i: int) -> int:
         """Mask of elements <= i."""
-        return sum(1 << j for j in range(self.size) if self.leq(j, i))
+        return self._down[i]
 
-    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        if self._hasse is None:
-            edges = []
-            for i in range(self.size):
-                above = [j for j in bits(self.up[i]) if j != i]
-                for j in above:
-                    if not any(k != j and self.leq(k, j) for k in above):
-                        edges.append((i, j))
-            object.__setattr__(self, "_hasse", tuple(sorted(edges)))
-        return self._hasse
+    def _cover_tuples(self) -> Covers:
+        if self._covers is None:
+            object.__setattr__(self, "_covers", cover_tuples(self.up))
+        return self._covers
 
     def is_chain_set(self, mask: int) -> bool:
         elems = list(bits(mask))
@@ -153,10 +201,9 @@ class FinitePoset:
         """All down-closed subsets as masks, ascending."""
         out = []
         for mask in range(1 << self.size):
-            if all(is_subset(self.down(i) , mask) for i in bits(mask)):
+            if all(is_subset(self._down[i], mask) for i in bits(mask)):
                 out.append(mask)
         return out
 
     def linear_extension(self) -> list[int]:
-        order = sorted(range(self.size), key=lambda i: (bin(self.down(i)).count("1"), i))
-        return order
+        return sorted(range(self.size), key=lambda i: (self._down[i].bit_count(), i))

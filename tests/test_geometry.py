@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     lattices_order_isomorphic,
@@ -14,6 +16,7 @@ from convexitylab import (
     ClosureSystem,
     GroundSet,
     InputError,
+    Lattice,
     antimatroid_from_distributive,
     boolean_lattice,
     chain_lattice,
@@ -24,6 +27,7 @@ from convexitylab import (
     check_zero_closed,
     convex_geometry_from_lattice,
     downset_lattice,
+    embed_via_chain_covers,
     find_sublattice_copy,
     find_super_solvable_order,
     initial_system,
@@ -31,15 +35,26 @@ from convexitylab import (
     is_convex_geometry,
     is_distributive,
     is_modular,
+    join_dimension,
     join_of_systems,
     m3,
+    meet_irreducibles,
+    min_chain_cover,
+    multichain_system,
     n5,
     spatial_support_reduction,
     subsemilattice_system,
     suborder_system,
 )
-from convexitylab.geometry import Verdict, antimatroid_dual_map
+from convexitylab import geometry, lattices
+from convexitylab.geometry import (
+    Verdict,
+    _median_defect,
+    _modular_defect,
+    antimatroid_dual_map,
+)
 from convexitylab.lattices import as_lattice
+from convexitylab.ordergen import Multichain
 from convexitylab.posets import FinitePoset
 from convexitylab.relconvex import PointConfig, relconvex_system
 
@@ -274,14 +289,167 @@ def test_distributive_modular_named():
     assert not is_modular(n5()).holds
 
 
+def _partitions(elems: list[int]) -> list[list[list[int]]]:
+    if not elems:
+        return [[]]
+    first, out = elems[0], []
+    for part in _partitions(elems[1:]):
+        out.append([[first]] + part)
+        out += [part[:k] + [[first] + part[k]] + part[k + 1 :] for k in range(len(part))]
+    return out
+
+
+def partition_lattice(n: int) -> Lattice:
+    """Partitions of an n-set under refinement, the finer one below."""
+    parts = sorted(
+        (sorted(map(sorted, p)) for p in _partitions(list(range(n)))), key=lambda p: (-len(p), p)
+    )
+    labels = tuple("|".join("".join(map(str, b)) for b in p) for p in parts)
+    up = tuple(
+        sum(
+            1 << j
+            for j, q in enumerate(parts)
+            if all(any(set(b) <= set(c) for c in q) for b in p)
+        )
+        for p in parts
+    )
+    return Lattice(labels, up)
+
+
+def _assert_lattice_core_matches_oracles(lattice) -> None:
+    """Covers, bounds and both verdicts against their definitions, the
+    cubic scans and the forbidden-sublattice searches."""
+    lat = as_lattice(lattice)
+    n = lat.size
+    edges = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and lat.leq(i, j)
+        and not any(k not in (i, j) and lat.leq(i, k) and lat.leq(k, j) for k in range(n))
+    )
+    assert lat.hasse_edges() == edges
+    for j in range(n):
+        assert lat.lower_covers(j) == tuple(i for i, b in edges if b == j)
+        assert lat.upper_covers(j) == tuple(b for i, b in edges if i == j)
+    for i in range(n):
+        for j in range(n):
+            above = [k for k in range(n) if lat.leq(i, k) and lat.leq(j, k)]
+            below = [k for k in range(n) if lat.leq(k, i) and lat.leq(k, j)]
+            assert all(lat.leq(lat.join(i, j), k) for k in above)
+            assert lat.join(i, j) in above
+            assert all(lat.leq(k, lat.meet(i, j)) for k in below)
+            assert lat.meet(i, j) in below
+    dist = is_distributive(lat).holds
+    mod = is_modular(lat).holds
+    has_m3 = find_sublattice_copy(lat, "M3") is not None
+    has_n5 = find_sublattice_copy(lat, "N5") is not None
+    assert dist == (not has_m3 and not has_n5) == (_median_defect(lat) is None)
+    assert mod == (not has_n5) == (_modular_defect(lat) is None)
+
+
 def test_forbidden_sublattice_search_cross_validates(lattice_corpus):
-    for lattice in lattice_corpus[:120]:
-        dist = is_distributive(lattice).holds
-        mod = is_modular(lattice).holds
-        has_m3 = find_sublattice_copy(lattice, "M3") is not None
-        has_n5 = find_sublattice_copy(lattice, "N5") is not None
-        assert dist == (not has_m3 and not has_n5)
-        assert mod == (not has_n5)
+    # The partition lattice of a 4-set is upper but not lower
+    # semimodular, its dual the reverse: each half of the semimodular
+    # test is needed on one of them.
+    partitions = partition_lattice(4)
+    assert partitions.size == 15
+    assert not is_modular(partitions).holds and not is_modular(partitions.dual()).holds
+    for lattice in lattice_corpus + [partitions, partitions.dual()]:
+        _assert_lattice_core_matches_oracles(lattice)
+
+
+@given(n=st.integers(5, 6), rng=st.randoms(use_true_random=False))
+def test_forbidden_sublattice_search_cross_validates_on_random_families(n, rng):
+    family = random_intersection_closed_family(rng, n)
+    closed = system_of_family(frozenset(family), n).enumerate_closed_sets()
+    assert closed.covers() == as_lattice(closed).hasse_edges()
+    _assert_lattice_core_matches_oracles(closed)
+
+
+@pytest.mark.parametrize(
+    "labels, up, message",
+    [
+        (("a", "b", "c"), (0b001, 0b010, 0b100), "a and b have no join"),  # joins first
+        (
+            ("0", "a", "b", "c", "d", "1"),
+            (0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000),
+            "a and b have no join",
+        ),
+        (("a", "b", "c", "1"), (0b1011, 0b1010, 0b1100, 0b1000), "a and c have no meet"),
+    ],
+)
+def test_lattice_rejects_orders_without_bounds(labels, up, message):
+    with pytest.raises(InputError, match=f"^not a lattice: {message}$"):
+        Lattice(labels, up)
+
+
+def _counting(monkeypatch, module, name: str) -> list[int]:
+    """Replace module.name by a wrapper that counts its calls."""
+    count = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+# Ten points in general position; their relatively convex sets form a
+# lattice of 450 elements, five times the largest in the lattice bench.
+TEN_POINTS = [
+    (4, 6), (-18, -4), (12, 11), (5, -1), (10, 2),
+    (17, -7), (12, -12), (-2, -12), (-14, 19), (18, -11),
+]
+
+
+def test_large_relconvex_lattice_verdicts_pinned():
+    lattice = relconvex_system(PointConfig.from_coords(2, TEN_POINTS)).enumerate_closed_sets()
+    assert lattice.size == 450
+    assert check_cover_structure(lattice).holds
+    assert check_convexity_characterization(lattice).holds
+    n5_copy = {
+        "kind": "N5",
+        "elements": ["{}", "{p0}", "{p0,p3}", "{p1,p5}", "{p0,p1,p3,p5}"],
+    }
+    assert is_distributive(lattice).witness == n5_copy
+    assert is_modular(lattice).witness == n5_copy
+    assert join_dimension(lattice) == 7
+
+
+def test_one_lattice_per_closed_set_lattice_and_scans_only_on_failure(monkeypatch):
+    built = _counting(monkeypatch, lattices.Lattice, "__post_init__")
+    median = _counting(monkeypatch, geometry, "_median_defect")
+    modular = _counting(monkeypatch, geometry, "_modular_defect")
+    orders = ((0, 1, 2, 3, 4, 5), (5, 3, 1, 0, 2, 4), (2, 0, 4, 5, 1, 3))
+    sources = [
+        multichain_system(Multichain(GroundSet.of_size(6), orders)).enumerate_closed_sets(),
+        initial_system(4).enumerate_closed_sets(),
+    ]
+    for source in sources:
+        before = built[0]
+        check_cover_structure(source)
+        check_convexity_characterization(source)
+        distributive = is_distributive(source).holds
+        is_modular(source)
+        join_dimension(source)
+        lattice = as_lattice(source)
+        cover = min_chain_cover(lattice, meet_irreducibles(lattice))
+        embed_via_chain_covers(source, cover)
+        if distributive:
+            antimatroid_from_distributive(source)
+        assert built[0] - before == 1
+
+    median[0] = modular[0] = 0
+    for lattice in (boolean_lattice(3), sources[1], downset_lattice(FinitePoset.antichain(3))):
+        assert is_distributive(lattice).holds and is_modular(lattice).holds
+    assert (median[0], modular[0]) == (0, 0)
+    for lattice in (n5(), partition_lattice(4), sources[0]):  # not modular
+        assert not is_distributive(lattice).holds
+    assert (median[0], modular[0]) == (0, 3)
 
 
 def test_antimatroid_from_boolean_two_atoms():

@@ -1,5 +1,8 @@
 """Pattern semilattices and join-subsemilattice embedding search."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from conftest import all_injections_embed
@@ -20,6 +23,7 @@ from convexitylab import (
     subsemilattice_system,
 )
 from convexitylab.bitset import subsets
+from convexitylab.lattices import JoinSemilattice
 from convexitylab.obstructions import EmbeddingMap
 from convexitylab.ordergen import bichain_from_permutation, multichain_system
 from convexitylab.posets import FinitePoset
@@ -69,6 +73,42 @@ def test_omega_prefix_embeds_into_bit_reversal_host():
     )
     found = embeds_as_join_subsemilattice(pattern, host)
     assert found is not None and found.verify(pattern, host)
+    assert found.assignment == (0, 1, 2, 6, 7, 8, 9)  # the least in search order
+
+
+def test_search_reads_host_order_from_join_rows(monkeypatch):
+    """A host element costs one row of host.size joins, built when it is
+    first assigned; the pattern's join table is read once, and a hit
+    re-verifies all pattern pairs."""
+    calls: Counter = Counter()
+    original = JoinSemilattice.join
+
+    def counted(self, i, j):
+        calls[self] += 1
+        return original(self, i, j)
+
+    monkeypatch.setattr(JoinSemilattice, "join", counted)
+    host = compact_semilattice_of_geometry(interval_system(7))
+    assert host.size == 29
+    miss = boolean_pattern(3).semilattice
+    assert embeds_as_join_subsemilattice(miss, host) is None
+    assert (calls[miss], calls[host]) == (8 * 8, 29 * 29)
+    calls.clear()
+    hit = boolean_pattern(2).semilattice
+    assert embeds_as_join_subsemilattice(hit, host).assignment == (0, 1, 2, 3)
+    assert (calls[hit], calls[host]) == (2 * 4 * 4, 4 * 29 + 4 * 4)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    pattern = omega_prefix_pattern(2).semilattice
+    host = compact_semilattice_of_geometry(multichain_system(bit_reversal_bichain(3)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert embeds_as_join_subsemilattice(pattern, host) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_matches_exhaustive_oracle_on_small_pairs():
