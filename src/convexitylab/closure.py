@@ -207,7 +207,8 @@ class ClosedSetLattice(CoverQueries):
     """Enumerated closed sets with containment order.
 
     Joins are closures of unions; meets are intersections.  The family
-    is intersection-closed, so every meet is again a member.  Covers are
+    is intersection-closed, so every meet is again a member.  The
+    containment rows (which give each join as one AND) and the covers are
     built on first use; ``lattices.as_lattice`` keeps its conversion in
     ``_lattice``.
     """
@@ -215,8 +216,8 @@ class ClosedSetLattice(CoverQueries):
     ground: GroundSet
     masks: tuple[int, ...]
     _index: dict[int, int] = field(init=False, repr=False, hash=False, compare=False)
-    _join_memo: dict[tuple[int, int], int] = field(
-        init=False, repr=False, hash=False, compare=False
+    _up: tuple[int, ...] = field(
+        init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
     )
     _covers: Covers = field(
         init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
@@ -227,7 +228,6 @@ class ClosedSetLattice(CoverQueries):
         if list(self.masks) != sorted(set(self.masks)):
             raise InputError("closed sets must be distinct and canonically ordered")
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.masks)})
-        object.__setattr__(self, "_join_memo", {})
 
     @property
     def size(self) -> int:
@@ -255,16 +255,13 @@ class ClosedSetLattice(CoverQueries):
         return len(self.masks) - 1
 
     def join(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        hit = self._join_memo.get(key)
-        if hit is not None:
-            return hit
-        union = self.masks[i] | self.masks[j]
-        for k, m in enumerate(self.masks):
-            if is_subset(union, m):
-                self._join_memo[key] = k
-                return k
-        raise InputError("family has no common superset; top element missing")
+        """The numerically least common superset, which is the lowest
+        position in both containment rows (``masks`` ascend)."""
+        up = self._up_rows()
+        common = up[i] & up[j]
+        if not common:
+            raise InputError("family has no common superset; top element missing")
+        return (common & -common).bit_length() - 1
 
     def meet(self, i: int, j: int) -> int:
         return self.index_of(self.masks[i] & self.masks[j])
@@ -277,9 +274,15 @@ class ClosedSetLattice(CoverQueries):
         n = self.size
         return [[self.meet(i, j) for j in range(n)] for i in range(n)]
 
+    def _up_rows(self) -> tuple[int, ...]:
+        """Containment rows: bit k of row i iff masks[i] <= masks[k]."""
+        if self._up is None:
+            object.__setattr__(self, "_up", superset_rows(self.masks))
+        return self._up
+
     def _cover_tuples(self) -> Covers:
         if self._covers is None:
-            object.__setattr__(self, "_covers", cover_tuples(superset_rows(self.masks)))
+            object.__setattr__(self, "_covers", cover_tuples(self._up_rows()))
         return self._covers
 
     def covers(self) -> tuple[tuple[int, int], ...]:

@@ -59,8 +59,11 @@ def _max_matching(adjacency: list[list[int]], n_right: int) -> tuple[list[int], 
                 return True
         return False
 
-    for u in range(len(adjacency)):
-        augment(u, set())
+    try:
+        for u in range(len(adjacency)):
+            augment(u, set())
+    finally:
+        del augment  # it refers to itself; dropping it frees the cycle now
     return match_left, match_right
 
 
@@ -319,7 +322,10 @@ def brute_force_join_dimension(host: PosetLike, k_max: int = 4) -> int | None:
         memo[key] = result
         return result
 
-    for k in range(0, k_max + 1):
-        if coverable(full, k):
-            return k
-    return None
+    try:
+        for k in range(0, k_max + 1):
+            if coverable(full, k):
+                return k
+        return None
+    finally:
+        del coverable  # it refers to itself; dropping it frees the cycle now

@@ -297,7 +297,10 @@ def find_super_solvable_order(
                 return result
         return None
 
-    return extend([], 0, list(range(n)))
+    try:
+        return extend([], 0, list(range(n)))
+    finally:
+        del extend  # it refers to itself; dropping it frees the cycle now
 
 
 def _median_defect(lat: Lattice) -> tuple[int, int, int] | None:

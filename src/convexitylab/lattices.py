@@ -120,7 +120,7 @@ def as_lattice(source: "Lattice | ClosedSetLattice") -> Lattice:
         return source
     if source._lattice is None:
         labels = tuple(source.ground.format_set(m) for m in source.masks)
-        object.__setattr__(source, "_lattice", Lattice(labels, superset_rows(source.masks)))
+        object.__setattr__(source, "_lattice", Lattice(labels, source._up_rows()))
     return source._lattice
 
 
@@ -166,8 +166,9 @@ class JoinSemilattice:
     """Elements with a total, associative, commutative, idempotent join.
 
     The partial order is derived: i <= j iff join(i, j) == j.  The join
-    is evaluated lazily through a function and memoized, so large hosts
-    never materialize a full table.
+    is evaluated lazily through a function and memoized per pair;
+    ``order_rows`` reads every pair once, the first time the bitmask
+    order is asked for, and keeps the rows.
     """
 
     def __init__(self, labels: Sequence[str], join_fn: Callable[[int, int], int]):
@@ -178,6 +179,7 @@ class JoinSemilattice:
             raise InputError("semilattice must be nonempty")
         self._join_fn = join_fn
         self._memo: dict[tuple[int, int], int] = {}
+        self._rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @classmethod
     def from_table(cls, labels: Sequence[str], table: Sequence[Sequence[int]]) -> "JoinSemilattice":
@@ -205,6 +207,26 @@ class JoinSemilattice:
 
     def leq(self, i: int, j: int) -> bool:
         return self.join(i, j) == j
+
+    def order_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Up- and down-rows of the order (bit j of ``up[i]`` iff i <= j,
+        bit j of ``down[i]`` iff j <= i), built on first use from one join
+        per unordered pair and kept."""
+        if self._rows is None:
+            n = self.size
+            up = [1 << i for i in range(n)]
+            down = up[:]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = self.join(i, j)
+                    if v == j:
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+                    elif v == i:
+                        up[j] |= 1 << i
+                        down[i] |= 1 << j
+            self._rows = tuple(up), tuple(down)
+        return self._rows
 
     @property
     def top(self) -> int:

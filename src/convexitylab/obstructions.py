@@ -9,8 +9,16 @@ omega-by-dyadics prefixes from :mod:`ordergen`.
 The backtracking search assigns pattern elements along a linear
 extension; an element that is a join of two earlier ones has a forced
 image, so only join-irreducible elements (and minimal ones) branch.
-Every returned map is re-verified from scratch against injectivity and
-join preservation.
+Candidates come from bitmask domains with forward checking (Ullmann,
+"An algorithm for subgraph isomorphism", J. ACM 1976): the host's up-
+and down-rows are built once per host (``JoinSemilattice.order_rows``),
+each domain starts with the hosts whose up- and down-sets are large
+enough, and each assignment narrows every later domain to the hosts in
+the right order relation to it.  Candidates are taken lowest id first
+and nothing is pruned that could hold an embedding, so the reported
+embedding is the least one in search order.  Patterns have at most 32
+elements, enough for ``omega_prefix(4)`` (31).  Every returned map is
+re-verified from scratch against injectivity and join preservation.
 """
 
 from __future__ import annotations
@@ -99,89 +107,110 @@ def embeds_as_join_subsemilattice(
 
     Deterministic: pattern elements are processed along a fixed linear
     extension and host candidates are tried in increasing id order, so
-    the reported embedding is the least one in that sense.  The pattern
-    order comes from its join table; order and forced joins against an
-    assigned host element are read from that element's row of joins,
-    built with ``host.size`` joins the first time it is assigned.
+    the reported embedding is the least one in that sense.
     """
-    if pattern.size > 24:
-        raise CapacityError(f"pattern size {pattern.size} exceeds the bound 24")
+    return _embedding_search(pattern, host)[0]
+
+
+def _embedding_search(
+    pattern: JoinSemilattice, host: JoinSemilattice
+) -> tuple[EmbeddingMap | None, int]:
+    """The search behind ``embeds_as_join_subsemilattice``, with its node
+    count (host elements assigned, leaves included).
+
+    Each pattern position keeps a bitmask domain of host candidates.  It
+    starts as the hosts with up- and down-sets at least as large as the
+    element's; assigning h to a position ANDs every later domain with
+    the hosts strictly above, strictly below or incomparable to h,
+    matching the pattern's relation, so used hosts drop out too.  An
+    emptied domain backtracks at once.  Domains live in a list per
+    depth; the search is a loop, so it leaves no reference cycle.
+    """
+    if pattern.size > 32:
+        raise CapacityError(f"pattern size {pattern.size} exceeds the bound 32")
     if host.size > 10000:
         raise CapacityError(f"host size {host.size} exceeds the bound 10000")
     if pattern.size > host.size:
-        return None
+        return None, 0
     n = pattern.size
     joins = [[pattern.join(i, j) for j in range(n)] for i in range(n)]
-    depth = [sum(joins[j][i] == i for j in range(n)) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (depth[i], i))
-    # Forced elements: a join of two earlier elements in the extension.
-    witness_pair: dict[int, tuple[int, int]] = {}
+    below = [sum(joins[j][i] == i for j in range(n)) for i in range(n)]
+    above = [sum(joins[i][j] == j for j in range(n)) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (below[i], i))
+    position = {p: k for k, p in enumerate(order)}
+    # relation[k][l] picks the host row that position l must lie in once
+    # position k holds h: 0 above h, 1 below h, 2 incomparable, 3 h itself;
+    # tails[k][j] is relation[k][j + 1 :], the positions after depth j.
+    relation = [
+        [3 if p == q else 0 if joins[p][q] == q else 1 if joins[q][p] == p else 2 for q in order]
+        for p in order
+    ]
+    tails = [[rel[j + 1 :] for j in range(n)] for rel in relation]
+    # A forced position holds the join of two earlier positions; its image
+    # is fixed, and narrows the later domains, as soon as both are placed.
+    forced: list[bool] = [False] * n
+    ready: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for k, e in enumerate(order):
-        for a in order[:k]:
-            for b in order[:k]:
-                if a <= b and joins[a][b] == e:
-                    witness_pair[e] = (a, b)
-                    break
-            if e in witness_pair:
-                break
-
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    host_joins: dict[int, list[int]] = {}  # host id -> its joins with every host id
-
-    def assign(p: int, h: int) -> None:
-        assigned[p] = h
-        used.add(h)
-        if h not in host_joins:
-            host_joins[h] = [host.join(h, g) for g in range(host.size)]
-
-    def consistent(p: int, h: int) -> bool:
-        if h in used:
-            return False
-        for q, hq in assigned.items():
-            j = host_joins[hq][h]
-            if (joins[p][q] == q) != (j == hq) or (joins[q][p] == p) != (j == h):
-                return False
-        return True
-
-    def full_check() -> EmbeddingMap | None:
-        candidate = EmbeddingMap(tuple(assigned[i] for i in range(pattern.size)))
-        if candidate.verify(pattern, host):
-            return candidate
-        return None
-
-    def search(k: int) -> EmbeddingMap | None:
-        if k == len(order):
-            return full_check()
-        p = order[k]
-        pair = witness_pair.get(p)
+        pair = next(
+            ((a, b) for a in range(k) for b in range(a + 1, k) if joins[order[a]][order[b]] == e),
+            None,
+        )
         if pair is not None:
-            h = host_joins[assigned[pair[0]]][assigned[pair[1]]]
-            if not consistent(p, h):
-                return None
-            assign(p, h)
-            found = search(k + 1)
-            if found is None:
-                del assigned[p]
-                used.discard(h)
-            return found
-        for h in range(host.size):
-            if not consistent(p, h):
-                continue
-            assign(p, h)
-            found = search(k + 1)
-            if found is not None:
-                return found
-            del assigned[p]
-            used.discard(h)
-        return None
+            forced[k] = True
+            ready[pair[1]].append((k, *pair))
 
-    try:
-        return search(0)
-    finally:
-        # search refers to itself: dropping it frees the host and its rows
-        # now, not at the next full garbage collection.
-        del search
+    join = host.join
+    up, down = host.order_rows()
+    full = (1 << host.size) - 1
+    rows = [(u & ~d, d & ~u, full & ~(u | d), 1 << h) for h, (u, d) in enumerate(zip(up, down))]
+    sizes = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
+    domains: list[list[int]] = [[]] * n
+    domains[0] = [
+        sum(1 << h for h, (hu, hd) in enumerate(sizes) if hu >= above[p] and hd >= below[p])
+        for p in order
+    ]
+    # If the pattern has a bottom and h fails as its image, so does every
+    # host above h: an embedding sending the bottom to h' >= h would stay
+    # one with h in its place.  Each failed h drops its up-row.
+    bottomed = above[order[0]] == n
+    candidates = [0] * n
+    candidates[0] = domains[0][0]
+    image = [0] * n
+    nodes = 0
+    k = 0
+    while k >= 0:
+        c = candidates[k]
+        if k == 0 and nodes and bottomed:
+            c &= ~up[image[0]]
+        if not c:
+            k -= 1
+            continue
+        low = c & -c
+        candidates[k] = c ^ low
+        h = low.bit_length() - 1
+        image[k] = h
+        nodes += 1
+        if k == n - 1:
+            found = EmbeddingMap(tuple(image[position[p]] for p in range(n)))
+            if found.verify(pattern, host):
+                return found, nodes
+            continue
+        later = domains[k][1:]
+        if not forced[k]:  # a forced image narrowed these when it was fixed
+            row = rows[h]
+            later = [d & row[t] for d, t in zip(later, tails[k][k])]
+        for l, a, b in ready[k]:
+            g = join(image[a], image[b])
+            if not later[l - k - 1] >> g & 1:
+                break
+            row = rows[g]
+            later = [d & row[t] for d, t in zip(later, tails[l][k])]
+        else:
+            if 0 not in later:
+                k += 1
+                domains[k] = later
+                candidates[k] = later[0]
+    return None, nodes
 
 
 def independent_sets(
@@ -222,7 +251,10 @@ def independent_sets(
             if is_independent(candidate):
                 extend(nxt + 1, candidate)
 
-    extend(0, [])
+    try:
+        extend(0, [])
+    finally:
+        del extend  # it refers to itself; dropping it frees the cycle now
     return best_size, best
 
 

@@ -295,7 +295,10 @@ def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]
             if _is_convexly_independent(config, candidate):
                 extend(nxt + 1, candidate)
 
-    extend(0, [])
+    try:
+        extend(0, [])
+    finally:
+        del extend  # it refers to itself; dropping it frees the cycle now
     memo["independent"] = best_size, best
     return best_size, best
 
@@ -380,7 +383,10 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
             search(covered | m, chosen + [ln])
         search(covered | (1 << target), chosen + [fallback[target]])
 
-    search(0, [])
+    try:
+        search(0, [])
+    finally:
+        del search  # it refers to itself; dropping it frees the cycle now
     scale = config._scale  # type: ignore[attr-defined]
     memo["cover"] = best_count, tuple(
         Line(tuple(Fraction(o, scale * next(filter(None, d))) for o in offsets), d)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     count_maximal_chains_dfs,
@@ -11,6 +13,7 @@ from conftest import (
 )
 from convexitylab import (
     CapacityError,
+    ClosedSetLattice,
     ClosureSystem,
     GroundSet,
     InputError,
@@ -313,3 +316,38 @@ def test_maximal_chains_counts():
     assert len(found) == count_maximal_chains_dfs(lattice)
     assert len({c.masks for c in found}) == len(found)
     assert len(maximal_chains(lattice, 2)) == 2
+
+
+def scan_join(lattice: ClosedSetLattice, i: int, j: int) -> int:
+    """Oracle: the first closed set, in ascending mask order, holding both."""
+    union = lattice.masks[i] | lattice.masks[j]
+    for k, m in enumerate(lattice.masks):
+        if is_subset(union, m):
+            return k
+    raise InputError("family has no common superset; top element missing")
+
+
+def test_closed_set_join_matches_scan_over_corpus(lattice_corpus):
+    for lat in lattice_corpus:
+        downsets = ClosedSetLattice(
+            GroundSet.of_size(lat.size), tuple(sorted(map(lat.down_mask, range(lat.size))))
+        )
+        for i in range(downsets.size):
+            for j in range(downsets.size):
+                assert downsets.join(i, j) == scan_join(downsets, i, j)
+
+
+@given(st.sets(st.integers(0, 63), min_size=1, max_size=24))
+def test_closed_set_join_matches_scan_on_any_family(family):
+    """Any ascending family, intersection-closed or not, with or without a
+    common superset for every pair."""
+    lattice = ClosedSetLattice(GroundSet.of_size(6), tuple(sorted(family)))
+    for i in range(lattice.size):
+        for j in range(lattice.size):
+            try:
+                expected = scan_join(lattice, i, j)
+            except InputError:
+                with pytest.raises(InputError, match="no common superset"):
+                    lattice.join(i, j)
+            else:
+                assert lattice.join(i, j) == expected

@@ -4,27 +4,35 @@ import gc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_injections_embed
 from convexitylab import (
     CapacityError,
     ClosureSystem,
     GroundSet,
+    PointConfig,
     boolean_lattice,
     boolean_pattern,
     chain_lattice,
     compact_semilattice_of_geometry,
     embeds_as_join_subsemilattice,
+    find_super_solvable_order,
     independent_sets,
     interval_chain_pattern,
     interval_system,
+    max_convexly_independent,
+    min_chain_cover,
+    min_line_cover,
     obstruction_report,
     omega_prefix_pattern,
     subsemilattice_system,
 )
 from convexitylab.bitset import subsets
+from convexitylab.dimension import brute_force_join_dimension
 from convexitylab.lattices import JoinSemilattice
-from convexitylab.obstructions import EmbeddingMap
+from convexitylab.obstructions import EmbeddingMap, Pattern, _embedding_search
 from convexitylab.ordergen import bichain_from_permutation, multichain_system
 from convexitylab.posets import FinitePoset
 
@@ -33,6 +41,61 @@ def bit_reversal_bichain(width: int):
     n = 1 << width
     sigma = [int(format(i, f"0{width}b")[::-1], 2) for i in range(n)]
     return bichain_from_permutation(sigma)
+
+
+def scan_embedding(pattern, host) -> EmbeddingMap | None:
+    """Oracle: the earlier search, which tries every host element for every
+    branching pattern element against all assigned ones, along the same
+    linear extension and in the same candidate order."""
+    if pattern.size > host.size:
+        return None
+    n = pattern.size
+    joins = [[pattern.join(i, j) for j in range(n)] for i in range(n)]
+    depth = [sum(joins[j][i] == i for j in range(n)) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (depth[i], i))
+    witness_pair: dict[int, tuple[int, int]] = {}
+    for k, e in enumerate(order):
+        for a in order[:k]:
+            for b in order[:k]:
+                if a <= b and joins[a][b] == e:
+                    witness_pair[e] = (a, b)
+                    break
+            if e in witness_pair:
+                break
+    assigned: dict[int, int] = {}
+
+    def consistent(p: int, h: int) -> bool:
+        if h in assigned.values():
+            return False
+        for q, hq in assigned.items():
+            j = host.join(hq, h)
+            if (joins[p][q] == q) != (j == hq) or (joins[q][p] == p) != (j == h):
+                return False
+        return True
+
+    def search(k: int) -> EmbeddingMap | None:
+        if k == n:
+            candidate = EmbeddingMap(tuple(assigned[i] for i in range(n)))
+            return candidate if candidate.verify(pattern, host) else None
+        p = order[k]
+        pair = witness_pair.get(p)
+        options = (
+            range(host.size) if pair is None
+            else [host.join(assigned[pair[0]], assigned[pair[1]])]
+        )
+        for h in options:
+            if consistent(p, h):
+                assigned[p] = h
+                found = search(k + 1)
+                if found is not None:
+                    return found
+                del assigned[p]
+        return None
+
+    try:
+        return search(0)
+    finally:
+        del search
 
 
 def test_boolean_pattern_shapes():
@@ -77,9 +140,10 @@ def test_omega_prefix_embeds_into_bit_reversal_host():
 
 
 def test_search_reads_host_order_from_join_rows(monkeypatch):
-    """A host element costs one row of host.size joins, built when it is
-    first assigned; the pattern's join table is read once, and a hit
-    re-verifies all pattern pairs."""
+    """The host's order costs one join per unordered pair, built once per
+    host and kept; a forced image costs one join when its pair is placed;
+    the pattern's join table is read once, and a hit re-verifies all
+    pattern pairs."""
     calls: Counter = Counter()
     original = JoinSemilattice.join
 
@@ -92,11 +156,11 @@ def test_search_reads_host_order_from_join_rows(monkeypatch):
     assert host.size == 29
     miss = boolean_pattern(3).semilattice
     assert embeds_as_join_subsemilattice(miss, host) is None
-    assert (calls[miss], calls[host]) == (8 * 8, 29 * 29)
+    assert (calls[miss], calls[host]) == (8 * 8, 29 * 28 // 2 + 1382)
     calls.clear()
     hit = boolean_pattern(2).semilattice
     assert embeds_as_join_subsemilattice(hit, host).assignment == (0, 1, 2, 3)
-    assert (calls[hit], calls[host]) == (2 * 4 * 4, 4 * 29 + 4 * 4)
+    assert (calls[hit], calls[host]) == (2 * 4 * 4, 1 + 4 * 4)
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -250,6 +314,122 @@ def test_obstruction_report_monotone_keys():
 
 
 def test_pattern_capacity_checks():
+    """Patterns of up to 32 elements are searched; boolean(5) has 32,
+    boolean(6) 64."""
     big_host = boolean_pattern(2).semilattice
-    with pytest.raises(CapacityError):
-        embeds_as_join_subsemilattice(boolean_pattern(5).semilattice, big_host)
+    assert embeds_as_join_subsemilattice(boolean_pattern(5).semilattice, big_host) is None
+    with pytest.raises(CapacityError, match="bound 32"):
+        embeds_as_join_subsemilattice(boolean_pattern(6).semilattice, big_host)
+
+
+def test_omega_prefix_four_fits_the_pattern_bound():
+    pattern = omega_prefix_pattern(4).semilattice
+    assert pattern.size == 31
+    host = compact_semilattice_of_geometry(interval_system(8))
+    assert host.size == 37
+    assert _embedding_search(pattern, host) == (None, 1)
+
+
+def relabeled(host, perm) -> JoinSemilattice:
+    """The same semilattice with element i renamed perm[i]."""
+    inverse = sorted(range(host.size), key=perm.__getitem__)
+    labels = [host.labels[i] for i in inverse]
+    return JoinSemilattice(labels, lambda a, b: perm[host.join(inverse[a], inverse[b])])
+
+
+def small_hosts():
+    """Compact semilattices of random bichain and interval geometries, as
+    built (ids ascend along the order) or with their ids shuffled."""
+    bichains = st.integers(2, 6).flatmap(lambda n: st.permutations(range(n))).map(
+        lambda perm: multichain_system(bichain_from_permutation(perm))
+    )
+    intervals = st.integers(1, 6).map(interval_system)
+    return st.one_of(bichains, intervals).map(compact_semilattice_of_geometry).flatmap(
+        lambda host: st.one_of(
+            st.just(host),
+            st.permutations(range(host.size)).map(lambda perm: relabeled(host, perm)),
+        )
+    )
+
+
+def nonempty_boolean_pattern(k: int) -> Pattern:
+    """The nonempty subsets of a k-set under union: a pattern with no bottom."""
+    labels = [str(m) for m in range(1, 1 << k)]
+    return Pattern("nonempty", JoinSemilattice(labels, lambda i, j: ((i + 1) | (j + 1)) - 1))
+
+
+PATTERNS = {
+    "boolean": boolean_pattern,
+    "interval_chain": interval_chain_pattern,
+    "omega_prefix": omega_prefix_pattern,
+    "nonempty_boolean": nonempty_boolean_pattern,
+}
+
+
+@settings(max_examples=150)
+@given(
+    host=small_hosts(),
+    kind=st.sampled_from(sorted(PATTERNS)),
+    parameter=st.integers(1, 3),
+)
+def test_domain_search_matches_scan_oracle(host, kind, parameter):
+    """The same least embedding, or the same miss, as the earlier search."""
+    pattern = PATTERNS[kind](parameter).semilattice
+    found = embeds_as_join_subsemilattice(pattern, host)
+    expected = scan_embedding(pattern, host)
+    assert (None if found is None else found.assignment) == (
+        None if expected is None else expected.assignment
+    )
+
+
+@pytest.mark.parametrize(
+    "pattern, host, nodes",
+    [
+        (lambda: boolean_pattern(3), lambda: interval_system(7), 1056),
+        (lambda: omega_prefix_pattern(3), lambda: interval_system(7), 25),
+        (
+            lambda: boolean_pattern(3),
+            lambda: multichain_system(bit_reversal_bichain(4)),
+            4033,
+        ),
+    ],
+    ids=["boolean3-interval7", "omega3-interval7", "boolean3-bitreversal16"],
+)
+def test_search_node_counts_of_misses(pattern, host, nodes):
+    """Host elements assigned before a miss is proved: a change in the
+    search's pruning shows here even when wall time is noisy."""
+    semilattice = compact_semilattice_of_geometry(host())
+    assert _embedding_search(pattern().semilattice, semilattice) == (None, nodes)
+
+
+def _points():
+    return PointConfig.from_coords(2, [(0, 0), (4, 0), (0, 4), (4, 4), (1, 2), (2, 2), (3, 2)])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: independent_sets(interval_system(5)),
+        lambda: max_convexly_independent(_points()),
+        lambda: min_line_cover(_points()),
+        lambda: min_chain_cover(boolean_lattice(3), range(8)),
+        lambda: find_super_solvable_order(interval_system(4)),
+        lambda: brute_force_join_dimension(boolean_lattice(2), 3),
+    ],
+    ids=[
+        "independent_sets",
+        "max_convexly_independent",
+        "min_line_cover",
+        "max_matching",
+        "super_solvable_order",
+        "brute_force_join_dimension",
+    ],
+)
+def test_recursive_searches_leave_no_cyclic_garbage(run):
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
