@@ -266,14 +266,6 @@ class ClosedSetLattice(CoverQueries):
     def meet(self, i: int, j: int) -> int:
         return self.index_of(self.masks[i] & self.masks[j])
 
-    def join_table(self) -> list[list[int]]:
-        n = self.size
-        return [[self.join(i, j) for j in range(n)] for i in range(n)]
-
-    def meet_table(self) -> list[list[int]]:
-        n = self.size
-        return [[self.meet(i, j) for j in range(n)] for i in range(n)]
-
     def _up_rows(self) -> tuple[int, ...]:
         """Containment rows: bit k of row i iff masks[i] <= masks[k]."""
         if self._up is None:
@@ -296,9 +288,6 @@ class ClosedSetLattice(CoverQueries):
             if m & bit:
                 return k
         raise InputError("no closed set contains the element")
-
-    def to_system(self) -> ClosureSystem:
-        return ClosureSystem.from_closed_family(self.ground, self.masks, _trusted=True)
 
 
 @dataclass(frozen=True)

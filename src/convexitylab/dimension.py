@@ -159,7 +159,7 @@ class ChainProductEmbedding:
 def _extend_to_maximal_chain(lat: Lattice, chain: tuple[int, ...]) -> tuple[int, ...]:
     """Insert the least insertable element repeatedly until maximal."""
     def height(e: int) -> int:
-        return lat.down_mask(e).bit_count()
+        return lat.down(e).bit_count()
 
     members = sorted(chain, key=height)
     while True:

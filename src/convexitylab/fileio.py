@@ -41,6 +41,25 @@ def _load_json(text: str) -> Any:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+def _names(payload: dict[str, Any], key: str, what: str) -> tuple[str, ...]:
+    names = payload[key]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise InputError(f"'{key}' must be a list of {what}")
+    return tuple(names)
+
+
+def _entries(payload: dict[str, Any], key: str) -> list[Any]:
+    value = payload[key]
+    if not isinstance(value, list):
+        raise InputError(f"'{key}' must be a list")
+    return value
+
+
+def _is_int_list(value: Any) -> bool:
+    """A JSON array of integers (``true`` and ``false`` are not integers)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def system_to_payload(
     system: ClosureSystem,
     bound: int | None = None,
@@ -59,13 +78,10 @@ def system_to_payload(
 def system_from_payload(payload: Any) -> ClosureSystem:
     if not isinstance(payload, dict) or "ground" not in payload or "closed" not in payload:
         raise InputError("system file needs 'ground' and 'closed' keys")
-    labels = payload["ground"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise InputError("'ground' must be a list of labels")
-    ground = GroundSet(tuple(labels))
+    ground = GroundSet(_names(payload, "ground", "labels"))
     family = set()
-    for ids in payload["closed"]:
-        if not isinstance(ids, list):
+    for ids in _entries(payload, "closed"):
+        if not _is_int_list(ids):
             raise InputError("'closed' must be a list of id lists")
         family.add(ground.mask_of(ids))
     return ClosureSystem.from_closed_family(ground, family)
@@ -89,43 +105,45 @@ def semilattice_to_payload(semilattice: JoinSemilattice) -> dict[str, Any]:
 def semilattice_from_payload(payload: Any) -> JoinSemilattice:
     if not isinstance(payload, dict) or "elements" not in payload or "join" not in payload:
         raise InputError("semilattice file needs 'elements' and 'join' keys")
-    return JoinSemilattice.from_table(payload["elements"], payload["join"])
+    return JoinSemilattice.from_table(_names(payload, "elements", "labels"), payload["join"])
 
 
 def poset_from_payload(payload: Any) -> FinitePoset:
     if not isinstance(payload, dict) or "elements" not in payload:
         raise InputError("poset file needs 'elements' and 'covers' keys")
-    names = payload["elements"]
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise InputError("'elements' must be a list of names")
+    names = _names(payload, "elements", "names")
     index = {name: i for i, name in enumerate(names)}
     covers = []
-    for edge in payload.get("covers", []):
+    edges = _entries(payload, "covers") if "covers" in payload else []
+    for edge in edges:
         if not isinstance(edge, list) or len(edge) != 2:
             raise InputError("'covers' entries must be pairs")
-        a, b = edge
-        if a not in index or b not in index:
+        if not all(isinstance(x, str) and x in index for x in edge):
             raise InputError(f"cover edge {edge} references unknown elements")
+        a, b = edge
         covers.append((index[a], index[b]))
-    return FinitePoset.from_covers(tuple(names), covers)
+    return FinitePoset.from_covers(names, covers)
 
 
 def points_from_payload(payload: Any) -> PointConfig:
     if not isinstance(payload, dict) or "dim" not in payload or "points" not in payload:
         raise InputError("points file needs 'dim' and 'points' keys")
     dim = payload["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError("'dim' must be a positive integer")
     coords = []
     labels = []
-    for i, entry in enumerate(payload["points"]):
-        if not isinstance(entry, dict) or "coords" not in entry:
-            raise InputError(f"point {i} must be an object with 'coords'")
+    for i, entry in enumerate(_entries(payload, "points")):
+        if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
+            raise InputError(f"point {i} must be an object with a 'coords' list")
         try:
             coords.append([Fraction(str(c)) for c in entry["coords"]])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"point {i} has a malformed rational: {exc}")
-        labels.append(entry.get("label", f"p{i}"))
+        label = entry.get("label", f"p{i}")
+        if not isinstance(label, str):
+            raise InputError(f"point {i} has a label that is not a string")
+        labels.append(label)
     return PointConfig.from_coords(dim, coords, labels)
 
 
@@ -140,7 +158,7 @@ def points_to_payload(config: PointConfig) -> dict[str, Any]:
 
 
 def permutation_from_payload(payload: Any) -> tuple[int, ...]:
-    if not isinstance(payload, list) or not all(isinstance(v, int) for v in payload):
+    if not _is_int_list(payload):
         raise InputError("permutation file must be a JSON array of images")
     return tuple(payload)
 
@@ -148,11 +166,10 @@ def permutation_from_payload(payload: Any) -> tuple[int, ...]:
 def multichain_from_payload(payload: Any) -> Multichain:
     if not isinstance(payload, dict) or "elements" not in payload or "orders" not in payload:
         raise InputError("multichain file needs 'elements' and 'orders' keys")
-    names = payload["elements"]
-    ground = GroundSet(tuple(names))
+    ground = GroundSet(_names(payload, "elements", "names"))
     orders = []
-    for order in payload["orders"]:
-        if not isinstance(order, list) or not all(isinstance(v, int) for v in order):
+    for order in _entries(payload, "orders"):
+        if not _is_int_list(order):
             raise InputError("'orders' entries must be integer rank vectors")
         orders.append(tuple(order))
     return Multichain(ground, tuple(orders))

@@ -435,7 +435,7 @@ def is_distributive(lattice: Lattice | ClosedSetLattice) -> Verdict:
     scan runs and its failing triple is turned into an M3 copy."""
     lat = as_lattice(lattice)
     jmask = sum(1 << j for j in lat.join_irreducibles())
-    below = [lat.down_mask(x) & jmask for x in range(lat.size)]
+    below = [lat.down(x) & jmask for x in range(lat.size)]
     pairs = combinations(range(lat.size), 2)
     if all(below[lat.join(x, y)] == below[x] | below[y] for x, y in pairs):
         return _PASS

@@ -1,13 +1,15 @@
 """Abstract finite lattices and join-semilattices.
 
-``Lattice`` carries opaque element ids with an order relation given by
-bitmask up-rows.  Its down-rows, join and meet tables and cover tuples
-are built once, in O(n^2) mask operations: the upper bounds of i and j
-form ``up[i] & up[j]``, which is the up-row of their join when the join
+``Lattice`` is a ``FinitePoset`` (opaque element ids, order given by
+bitmask up-rows, down-rows and covers built beside them) whose join and
+meet tables are complete.  Both tables come from ``posets.bound_table``
+once, in O(n^2) mask operations: the upper bounds of i and j form
+``up[i] & up[j]``, which is the up-row of their join when the join
 exists, so one lookup per pair both validates and indexes the join
 (meets likewise on down-rows).  A missing bound raises ``InputError``.
-``JoinSemilattice`` needs only a total join operation; the order is
-recovered from it.
+``JoinSemilattice`` needs only a total join operation; a semilattice
+taken from a lattice carries the lattice's order rows, and otherwise
+the order is recovered from the join.
 """
 
 from __future__ import annotations
@@ -18,52 +20,34 @@ from dataclasses import dataclass, field
 from .bitset import bits, superset_rows
 from .closure import ClosedSetLattice
 from .errors import InputError
-from .posets import CoverQueries, Covers, FinitePoset, cover_tuples
+from .posets import BoundTable, FinitePoset, bound_table, down_rows
 
-_Table = tuple[tuple[int, ...], ...]
+OrderRows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _bound_table(labels: tuple[str, ...], rows: tuple[int, ...], kind: str) -> _Table:
-    """Row-major table of least upper bounds (given up-rows) or greatest
-    lower bounds (given down-rows); the first pair without one, in
-    row-major order, is reported."""
-    by_row = {row: k for k, row in enumerate(rows)}
-    table: list[list[int | None]] = []
-    for i, ri in enumerate(rows):
-        row = [table[j][i] for j in range(i)]
-        row += [by_row.get(ri & rj) for rj in rows[i:]]
+def _lattice_table(labels: tuple[str, ...], rows: tuple[int, ...], kind: str) -> BoundTable:
+    """``bound_table`` of a lattice's up- or down-rows; the first pair
+    without a bound, in row-major order, is reported."""
+    table = bound_table(rows)
+    for i, row in enumerate(table):
         if None in row:
             j = row.index(None)
             raise InputError(f"not a lattice: {labels[i]} and {labels[j]} have no {kind}")
-        table.append(row)
-    return tuple(map(tuple, table))  # type: ignore[arg-type]
+    return table
 
 
 @dataclass(frozen=True)
-class Lattice(CoverQueries):
+class Lattice(FinitePoset):
     """Finite lattice over element ids 0..size-1."""
 
-    labels: tuple[str, ...]
-    up: tuple[int, ...]
-    _down: tuple[int, ...] = field(init=False, repr=False, hash=False, compare=False)
-    _join: _Table = field(init=False, repr=False, hash=False, compare=False)
-    _meet: _Table = field(init=False, repr=False, hash=False, compare=False)
-    _covers: Covers = field(init=False, repr=False, hash=False, compare=False)
+    _join: BoundTable = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
-        poset = FinitePoset(self.labels, self.up)  # order axioms
-        down = tuple(map(poset.down, range(self.size)))
-        object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_join", _bound_table(self.labels, self.up, "join"))
-        object.__setattr__(self, "_meet", _bound_table(self.labels, down, "meet"))
-        object.__setattr__(self, "_covers", cover_tuples(self.up))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
+        if not self.labels:
+            raise InputError("lattice must be nonempty")
+        super().__post_init__()  # order axioms and down-rows
+        object.__setattr__(self, "_join", _lattice_table(self.labels, self.up, "join"))
+        object.__setattr__(self, "_meet", _lattice_table(self.labels, self._down, "meet"))
 
     def join(self, i: int, j: int) -> int:
         return self._join[i][j]
@@ -73,23 +57,11 @@ class Lattice(CoverQueries):
 
     @property
     def bottom(self) -> int:
-        for i in range(self.size):
-            if self.up[i] == (1 << self.size) - 1:
-                return i
-        raise InputError("lattice has no bottom element")
+        return self.up.index((1 << self.size) - 1)
 
     @property
     def top(self) -> int:
-        for i in range(self.size):
-            if self.up[i] == 1 << i:
-                return i
-        raise InputError("lattice has no top element")
-
-    def _cover_tuples(self) -> Covers:
-        return self._covers
-
-    def down_mask(self, i: int) -> int:
-        return self._down[i]
+        return self._down.index((1 << self.size) - 1)
 
     def join_of_set(self, ids: Sequence[int]) -> int:
         out = self.bottom
@@ -106,11 +78,8 @@ class Lattice(CoverQueries):
     def dual(self) -> "Lattice":
         return Lattice(self.labels, self._down)
 
-    def to_poset(self) -> FinitePoset:
-        return FinitePoset(self.labels, self.up)
-
     def to_join_semilattice(self) -> "JoinSemilattice":
-        return JoinSemilattice(self.labels, self.join)
+        return JoinSemilattice(self.labels, self.join, (self.up, self._down))
 
 
 def as_lattice(source: "Lattice | ClosedSetLattice") -> Lattice:
@@ -162,16 +131,50 @@ def downset_lattice(poset: FinitePoset) -> Lattice:
     return Lattice(labels, superset_rows(masks))
 
 
+def _table_up_rows(labels: tuple[str, ...], table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Up-rows of the order of a square join table (bit j of ``up[i]``
+    iff ``table[i][j] == j``), after checking in O(n^2) mask operations
+    that its entries are element ids, that it is idempotent and
+    commutative, and that ``up[table[i][j]] == up[i] & up[j]``: then the
+    order is partial and ``table[i][j]`` is the least upper bound of i
+    and j, so the join is associative.  The first failure is reported."""
+    n = len(table)
+    for row in table:
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"join table entry {v!r} is not an element id 0..{n - 1}")
+    for i, row in enumerate(table):
+        if row[i] != i:
+            raise InputError(f"join not idempotent at {labels[i]}")
+    up = [sum(1 << j for j, v in enumerate(row) if v == j) for row in table]
+    for i, row in enumerate(table):
+        for j in range(i + 1, n):
+            if row[j] != table[j][i]:
+                raise InputError(f"join not commutative at {labels[i]} and {labels[j]}")
+            if up[row[j]] != up[i] & up[j]:
+                raise InputError(
+                    f"join of {labels[i]} and {labels[j]} is not their least upper bound"
+                )
+    return tuple(up)
+
+
 class JoinSemilattice:
     """Elements with a total, associative, commutative, idempotent join.
 
-    The partial order is derived: i <= j iff join(i, j) == j.  The join
-    is evaluated lazily through a function and memoized per pair;
-    ``order_rows`` reads every pair once, the first time the bitmask
-    order is asked for, and keeps the rows.
+    The partial order is i <= j iff join(i, j) == j.  The join is
+    evaluated lazily through a function and memoized per pair.  The
+    order's up- and down-rows (as ``order_rows`` returns them) are
+    passed in by a semilattice taken from a lattice, which has them
+    already; otherwise ``order_rows`` reads every pair once, the first
+    time the bitmask order is asked for, and keeps the rows.
     """
 
-    def __init__(self, labels: Sequence[str], join_fn: Callable[[int, int], int]):
+    def __init__(
+        self,
+        labels: Sequence[str],
+        join_fn: Callable[[int, int], int],
+        rows: OrderRows | None = None,
+    ):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise InputError("semilattice labels must be unique")
@@ -179,19 +182,22 @@ class JoinSemilattice:
             raise InputError("semilattice must be nonempty")
         self._join_fn = join_fn
         self._memo: dict[tuple[int, int], int] = {}
-        self._rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._rows = rows
 
     @classmethod
     def from_table(cls, labels: Sequence[str], table: Sequence[Sequence[int]]) -> "JoinSemilattice":
-        rows = [tuple(r) for r in table]
+        """The semilattice of a row-major join table, checked as
+        ``validate`` checks it; its order rows come from the check."""
         n = len(labels)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if (
+            not isinstance(table, Sequence)
+            or len(table) != n
+            or any(not isinstance(r, Sequence) or len(r) != n for r in table)
+        ):
             raise InputError("join table shape must match the element count")
-        for r in rows:
-            for v in r:
-                if not 0 <= v < n:
-                    raise InputError("join table entry out of range")
-        return cls(labels, lambda i, j: rows[i][j])
+        rows = tuple(map(tuple, table))
+        up = _table_up_rows(tuple(labels), rows)
+        return cls(labels, lambda i, j: rows[i][j], (up, down_rows(up)))
 
     @property
     def size(self) -> int:
@@ -208,10 +214,11 @@ class JoinSemilattice:
     def leq(self, i: int, j: int) -> bool:
         return self.join(i, j) == j
 
-    def order_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def order_rows(self) -> OrderRows:
         """Up- and down-rows of the order (bit j of ``up[i]`` iff i <= j,
-        bit j of ``down[i]`` iff j <= i), built on first use from one join
-        per unordered pair and kept."""
+        bit j of ``down[i]`` iff j <= i): the rows given at construction,
+        or else built on first use from one join per unordered pair and
+        kept."""
         if self._rows is None:
             n = self.size
             up = [1 << i for i in range(n)]
@@ -227,19 +234,6 @@ class JoinSemilattice:
                         down[i] |= 1 << j
             self._rows = tuple(up), tuple(down)
         return self._rows
-
-    @property
-    def top(self) -> int:
-        out = 0
-        for i in range(1, self.size):
-            out = self.join(out, i)
-        return out
-
-    def bottom_or_none(self) -> int | None:
-        for i in range(self.size):
-            if all(self.leq(i, j) for j in range(self.size)):
-                return i
-        return None
 
     def with_bottom(self, label: str = "⊥") -> "JoinSemilattice":
         """Adjoin a fresh least element below everything."""
@@ -263,19 +257,10 @@ class JoinSemilattice:
         return [[self.join(i, j) for j in range(n)] for i in range(n)]
 
     def validate(self) -> None:
-        """Check idempotence, commutativity and associativity (cubic)."""
+        """Check idempotence, commutativity and associativity, from the
+        n^2 values of the join function and O(n^2) mask operations."""
         n = self.size
-        for i in range(n):
-            if self.join(i, i) != i:
-                raise InputError(f"join not idempotent at {self.labels[i]}")
-            for j in range(n):
-                if self._join_fn(i, j) != self._join_fn(j, i):
-                    raise InputError("join not commutative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.join(self.join(i, j), k) != self.join(i, self.join(j, k)):
-                        raise InputError("join not associative")
+        _table_up_rows(self.labels, [[self._join_fn(i, j) for j in range(n)] for i in range(n)])
 
     def __repr__(self) -> str:
         return f"JoinSemilattice(n={self.size})"

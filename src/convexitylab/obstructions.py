@@ -11,10 +11,12 @@ extension; an element that is a join of two earlier ones has a forced
 image, so only join-irreducible elements (and minimal ones) branch.
 Candidates come from bitmask domains with forward checking (Ullmann,
 "An algorithm for subgraph isomorphism", J. ACM 1976): the host's up-
-and down-rows are built once per host (``JoinSemilattice.order_rows``),
-each domain starts with the hosts whose up- and down-sets are large
-enough, and each assignment narrows every later domain to the hosts in
-the right order relation to it.  Candidates are taken lowest id first
+and down-rows come from ``JoinSemilattice.order_rows`` (the containment
+rows of the closed-set lattice for a compact-element host, rows built
+once from the joins for a host given by its join alone), each domain
+starts with the hosts whose up- and down-sets are large enough, and
+each assignment narrows every later domain to the hosts in the right
+order relation to it.  Candidates are taken lowest id first
 and nothing is pruned that could hold an embedding, so the reported
 embedding is the least one in search order.  Patterns have at most 32
 elements, enough for ``omega_prefix(4)`` (31).  Every returned map is

@@ -17,7 +17,7 @@ from .bitset import bits
 from .closure import ClosureSystem, GroundSet, join_of_systems
 from .errors import CapacityError, InputError
 from .lattices import JoinSemilattice
-from .posets import FinitePoset
+from .posets import FinitePoset, down_rows
 
 
 def _chain_ground(n: int) -> GroundSet:
@@ -177,11 +177,13 @@ def compact_semilattice_of_geometry(
     """All closed sets under (A, B) -> close(A | B), bottom = close(empty).
 
     At finite scale every closed set is a closure of a finite set, so
-    the compact elements are all of them.
+    the compact elements are all of them.  The order is containment, so
+    the semilattice takes its rows from the lattice's containment rows.
     """
     lattice = system.enumerate_closed_sets(bound)
     labels = tuple(system.ground.format_set(m) for m in lattice.masks)
-    return JoinSemilattice(labels, lattice.join)
+    up = lattice._up_rows()
+    return JoinSemilattice(labels, lattice.join, (up, down_rows(up)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ transitively closed as bitmask up-rows (``up[i]`` = mask of elements
 >= i, including i); the down-rows are built once beside them.  Covers
 come from the up-rows by ``cover_tuples``, and ``CoverQueries`` answers
 the cover questions of posets and lattices from them.
+
+Bounds come from the rows by ``bound_table``: the common upper bounds
+of i and j form ``up[i] & up[j]``, which is the up-row of their least
+upper bound exactly when that bound exists, so one lookup per pair
+finds it (greatest lower bounds likewise on down-rows).  ``FinitePoset``
+reads its meets from that table, and ``lattices.Lattice``, a subclass,
+its join and meet tables.
 """
 
 from __future__ import annotations
@@ -33,6 +40,30 @@ def transitive_closure(rows: list[int]) -> list[int]:
 
 
 Covers = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+BoundTable = tuple[tuple[int | None, ...], ...]
+
+
+def down_rows(up: Sequence[int]) -> tuple[int, ...]:
+    """Down-rows of an order given by its up-rows (the transposed rows)."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in bits(row):
+            down[j] |= 1 << i
+    return tuple(down)
+
+
+def bound_table(rows: Sequence[int]) -> BoundTable:
+    """Row-major table of least upper bounds (given up-rows) or greatest
+    lower bounds (given down-rows), None where a pair has none: entry
+    (i, j) is the element whose row is ``rows[i] & rows[j]``.  Each row
+    reads the entries left of the diagonal from the rows above it."""
+    by_row = {row: k for k, row in enumerate(rows)}
+    table: list[tuple[int | None, ...]] = []
+    for i, ri in enumerate(rows):
+        table.append(
+            tuple([table[j][i] for j in range(i)] + [by_row.get(ri & rj) for rj in rows[i:]])
+        )
+    return tuple(table)
 
 
 def cover_tuples(up: Sequence[int]) -> Covers:
@@ -89,6 +120,9 @@ class FinitePoset(CoverQueries):
     _covers: Covers = field(
         init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
     )
+    _meet: BoundTable = field(
+        init=False, default=None, repr=False, hash=False, compare=False  # type: ignore[assignment]
+    )
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -123,14 +157,6 @@ class FinitePoset(CoverQueries):
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError("cover edge references unknown elements")
-            rows[a] |= 1 << b
-        return cls(labels, tuple(transitive_closure(rows)))
-
-    @classmethod
-    def from_relation(cls, labels: tuple[str, ...], leq_pairs: set[tuple[int, int]]) -> "FinitePoset":
-        n = len(labels)
-        rows = [1 << i for i in range(n)]
-        for a, b in leq_pairs:
             rows[a] |= 1 << b
         return cls(labels, tuple(transitive_closure(rows)))
 
@@ -174,18 +200,21 @@ class FinitePoset(CoverQueries):
             for b in elems[i + 1 :]
         )
 
+    def _meet_table(self) -> BoundTable:
+        if self._meet is None:
+            object.__setattr__(self, "_meet", bound_table(self._down))
+        return self._meet
+
     def meet_of(self, i: int, j: int) -> int | None:
         """Greatest common lower bound, or None if it does not exist."""
-        common = [k for k in range(self.size) if self.leq(k, i) and self.leq(k, j)]
-        greatest = [k for k in common if all(self.leq(other, k) for other in common)]
-        return greatest[0] if greatest else None
+        return self._meet_table()[i][j]
 
     def meet_semilattice_defect(self) -> tuple[int, int] | None:
-        """A pair without a meet, or None if every pair has one."""
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.meet_of(i, j) is None:
-                    return (i, j)
+        """The first pair (i, j), i < j, without a meet, or None if every
+        pair has one."""
+        for i, row in enumerate(self._meet_table()):
+            if None in row:
+                return (i, row.index(None))
         return None
 
     def strict_pairs(self) -> list[tuple[int, int]]:
@@ -204,6 +233,3 @@ class FinitePoset(CoverQueries):
             if all(is_subset(self._down[i], mask) for i in bits(mask)):
                 out.append(mask)
         return out
-
-    def linear_extension(self) -> list[int]:
-        return sorted(range(self.size), key=lambda i: (self._down[i].bit_count(), i))

@@ -180,6 +180,29 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"), "anti-exchange")[0] == 2
     no_points = write(tmp_path, "empty.json", {"dim": 2, "points": []})
     assert run_cli(capsys, "gen", f"points:{no_points}")[0] == 2
+    malformed = [
+        # a semilattice file whose join is not commutative
+        ("analyze", {"elements": ["a", "b"], "join": [[0, 1], [0, 1]]}, "obstruction:boolean=1"),
+        ("analyze", {"elements": ["a", "b"], "join": [[0, "x"], ["x", 1]]}, "dimension"),
+        ("analyze", {"elements": ["a", "b"], "join": [[0, True], [True, 1]]}, "dimension"),
+        ("analyze", {"elements": ["a", "b"], "join": 5}, "dimension"),
+        ("analyze", {"elements": [["a"], "b"], "join": [[0, 1], [1, 1]]}, "dimension"),
+        ("points", {"dim": 2, "points": [{"label": ["p"], "coords": ["0", "0"]}]}, None),
+        ("points", {"dim": 2, "points": [{"label": 5, "coords": ["0", "0"]}]}, None),
+        ("points", {"dim": 2, "points": [{"coords": "12"}]}, None),
+        ("points", {"dim": 2, "points": 5}, None),
+        ("multichain", {"elements": [["a"], "b"], "orders": [[0, 1], [1, 0]]}, None),
+        ("multichain", {"elements": ["a", "b"], "orders": [[False, True], [1, 0]]}, None),
+        ("subsemilattices", {"elements": ["a", "b"], "covers": [[["a"], "b"]]}, None),
+        ("check", {"ground": ["a", "b"], "closed": [["x"], [0, 1]]}, "anti-exchange"),
+        ("check", {"ground": ["a", "b"], "closed": [[True], [0, 1]]}, "anti-exchange"),
+        ("check", {"ground": ["a", "b"], "closed": 5}, "anti-exchange"),
+    ]
+    for k, (verb, payload, which) in enumerate(malformed):
+        path = write(tmp_path, f"malformed{k}.json", payload)
+        argv = [verb, str(path), which] if which else ["gen", f"{verb}:{path}"]
+        assert run_cli(capsys, *argv)[0] == 2, payload
+    assert run_cli(capsys, "gen", "perm:[true,0]")[0] == 2
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -330,7 +330,7 @@ def scan_join(lattice: ClosedSetLattice, i: int, j: int) -> int:
 def test_closed_set_join_matches_scan_over_corpus(lattice_corpus):
     for lat in lattice_corpus:
         downsets = ClosedSetLattice(
-            GroundSet.of_size(lat.size), tuple(sorted(map(lat.down_mask, range(lat.size))))
+            GroundSet.of_size(lat.size), tuple(sorted(map(lat.down, range(lat.size))))
         )
         for i in range(downsets.size):
             for j in range(downsets.size):
