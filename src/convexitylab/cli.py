@@ -122,15 +122,15 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
         system = interval_system(_positive_int(arg))
     elif kind == "perm":
         images = fileio.permutation_from_payload(fileio.parse_any(arg))
-        system = multichain_system(bichain_from_permutation(images), bound)
+        system = multichain_system(bichain_from_permutation(images))
     elif kind == "points":
-        system = relconvex_system(fileio.points_from_payload(_read(Path(arg))), bound)
+        system = relconvex_system(fileio.points_from_payload(_read(Path(arg))))
     elif kind == "subsemilattices":
         system = subsemilattice_system(fileio.poset_from_payload(_read(Path(arg))))
     elif kind == "suborders":
-        system = suborder_system(fileio.poset_from_payload(_read(Path(arg))), bound)
+        system = suborder_system(fileio.poset_from_payload(_read(Path(arg))))
     elif kind == "multichain":
-        system = multichain_system(fileio.multichain_from_payload(_read(Path(arg))), bound)
+        system = multichain_system(fileio.multichain_from_payload(_read(Path(arg))))
     elif kind == "omega":
         payload = fileio.semilattice_to_payload(omega_prefix(_positive_int(arg)).semilattice())
         payload["provenance"] = provenance

@@ -21,16 +21,27 @@ and nothing is pruned that could hold an embedding, so the reported
 embedding is the least one in search order.  Patterns have at most 32
 elements, enough for ``omega_prefix(4)`` (31).  Every returned map is
 re-verified from scratch against injectivity and join preservation.
+
+Independence is one search, ``largest_independent``, over the subsets
+in which no member depends on the rest; it takes the dependence test
+as an argument.  ``independent_sets`` passes closure membership in a
+closure system, and :mod:`relconvex` passes hull membership.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from . import config as runtime
 from .closure import ClosureSystem
 from .errors import CapacityError, InputError, InternalError
 from .lattices import JoinSemilattice
 from .ordergen import omega_prefix
+
+# Largest host the embedding search takes; a boolean pattern beyond
+# 2**13 elements could never serve as a host, so none is built.
+HOST_BOUND = 10000
 
 
 @dataclass(frozen=True)
@@ -45,8 +56,9 @@ def boolean_pattern(n: int) -> Pattern:
     """Subsets of an n-set under union."""
     if n < 0:
         raise InputError("pattern parameter must be nonnegative")
-    if n > 24:
-        raise CapacityError(f"boolean pattern parameter {n} exceeds the bound 24")
+    limit = HOST_BOUND.bit_length() - 1
+    if n > limit:
+        raise CapacityError(f"boolean pattern parameter {n} exceeds the bound {limit}")
     labels = tuple(
         "{" + ",".join(str(b) for b in range(n) if m >> b & 1) + "}"
         for m in range(1 << n)
@@ -130,8 +142,8 @@ def _embedding_search(
     """
     if pattern.size > 32:
         raise CapacityError(f"pattern size {pattern.size} exceeds the bound 32")
-    if host.size > 10000:
-        raise CapacityError(f"host size {host.size} exceeds the bound 10000")
+    if host.size > HOST_BOUND:
+        raise CapacityError(f"host size {host.size} exceeds the bound {HOST_BOUND}")
     if pattern.size > host.size:
         return None, 0
     n = pattern.size
@@ -215,31 +227,23 @@ def _embedding_search(
     return None, nodes
 
 
-def independent_sets(
-    system: ClosureSystem, bound: int | None = None
+def is_independent(members: Sequence[int], depends: Callable[[int, int], bool]) -> bool:
+    """No member ``i`` depends on the rest: ``depends(rest, i)`` is false."""
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return not any(depends(mask & ~(1 << i), i) for i in members)
+
+
+def largest_independent(
+    n: int, depends: Callable[[int, int], bool]
 ) -> tuple[int, tuple[int, ...]]:
-    """Maximum independent set: no member lies in the closure of the rest.
-
-    The closed-set lattice order-embeds the powerset of the witness via
-    closures of its subsets.
-    """
-    from . import config as runtime
-
-    n = system.ground.size
-    if n > runtime.enumeration_bound(bound):
-        raise CapacityError(
-            f"ground size {n} exceeds the enumeration bound {runtime.enumeration_bound(bound)}"
-        )
+    """Largest subset of ``range(n)`` passing ``is_independent`` under
+    ``depends``, and its size.  Subsets grow in increasing id order,
+    cut off once the ids left cannot beat the best; the first largest
+    subset found is returned."""
     best_size = 0
     best: tuple[int, ...] = ()
-
-    def is_independent(members: list[int]) -> bool:
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        return all(
-            not system.close(mask & ~(1 << i)) >> i & 1 for i in members
-        )
 
     def extend(start: int, chosen: list[int]) -> None:
         nonlocal best_size, best
@@ -250,7 +254,7 @@ def independent_sets(
             return
         for nxt in range(start, n):
             candidate = chosen + [nxt]
-            if is_independent(candidate):
+            if is_independent(candidate, depends):
                 extend(nxt + 1, candidate)
 
     try:
@@ -258,6 +262,21 @@ def independent_sets(
     finally:
         del extend  # it refers to itself; dropping it frees the cycle now
     return best_size, best
+
+
+def independent_sets(
+    system: ClosureSystem, bound: int | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """Maximum independent set: no member lies in the closure of the rest.
+
+    The closed-set lattice order-embeds the powerset of the witness via
+    closures of its subsets.
+    """
+    n = system.ground.size
+    limit = runtime.enumeration_bound(bound)
+    if n > limit:
+        raise CapacityError(f"ground size {n} exceeds the enumeration bound {limit}")
+    return largest_independent(n, lambda rest, i: bool(system.close(rest) >> i & 1))
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def initial_system_of_order(ground: GroundSet, rank: tuple[int, ...]) -> Closure
     return ClosureSystem.from_closed_family(ground, family, _trusted=True)
 
 
-def multichain_system(m: Multichain, bound: int | None = None) -> ClosureSystem:
+def multichain_system(m: Multichain) -> ClosureSystem:
     """Join of the initial-segment systems of the component orders."""
     if m.arity > 6:
         raise CapacityError(f"multichain arity {m.arity} exceeds the bound 6")
@@ -243,8 +243,8 @@ class OmegaPrefix:
 def omega_prefix(depth: int) -> OmegaPrefix:
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    if depth > 12:
-        raise CapacityError(f"depth {depth} exceeds the bound 12")
+    if depth > 8:
+        raise CapacityError(f"depth {depth} exceeds the bound 8")
     elements = tuple(
         (n, k) for n in range(depth + 1) for k in range(1 << n)
     )
@@ -280,17 +280,10 @@ def subsemilattice_system(s: FinitePoset) -> ClosureSystem:
     return ClosureSystem.from_rule(ground, rule)
 
 
-def suborder_system(p: FinitePoset, bound: int | None = None) -> ClosureSystem:
+def suborder_system(p: FinitePoset) -> ClosureSystem:
     """Ground set: strict comparable pairs; closed sets: transitively
     closed pair subsets."""
-    from . import config as runtime
-
     pairs = p.strict_pairs()
-    limit = runtime.enumeration_bound(bound)
-    if len(pairs) > limit:
-        raise CapacityError(
-            f"{len(pairs)} strict pairs exceed the enumeration bound {limit}"
-        )
     if not pairs:
         raise InputError("the order has no strict pairs; the suborder system is empty")
     labels = tuple(f"{p.labels[a]}<{p.labels[b]}" for a, b in pairs)

@@ -15,16 +15,21 @@ fraction-free on small integers, and no floating point appears:
 * collinearity is the vanishing of the 2x2 minors of two difference
   vectors, and line covers group point pairs by an integer line key.
 
+Each configuration owns its relatively-convex closure system, built at
+construction: p lies in the hull of Y exactly when p is in the closure
+of Y, so ``hull_membership`` reads the system's memoized closures.
 Fractions remain only in the input and in the ``Line`` witnesses.  The
-module derives the relatively-convex closure system, the largest
-convexly independent subsets and minimum line covers (each searched
-once per configuration), and the five-point convex-position property.
+module derives the largest convexly independent subsets (the
+independence search of :mod:`obstructions`, with hull membership as
+the dependence test) and minimum line covers, each searched once per
+configuration, and the five-point convex-position property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd, lcm
 from typing import Any
@@ -33,6 +38,7 @@ from .bitset import bits, popcount
 from .closure import ClosureSystem, GroundSet
 from .errors import CapacityError, InputError
 from .geometry import Verdict
+from .obstructions import is_independent, largest_independent
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -53,6 +59,11 @@ class PointConfig:
     points: tuple[Vector, ...]
     labels: tuple[str, ...]
     ground: GroundSet = field(init=False, repr=False, compare=False)
+    _full: int = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
+    _int_points: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    _system: ClosureSystem = field(init=False, repr=False, compare=False)
+    _search_memo: dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -68,19 +79,18 @@ class PointConfig:
                 raise InputError("coordinates must be exact rationals")
         if len(set(self.points)) != len(self.points):
             raise InputError("repeated points are rejected")
-        object.__setattr__(self, "_full", self.ground.full_mask)
-        object.__setattr__(self, "_hull_memo", {})
-        object.__setattr__(self, "_search_memo", {})
+        full = self.ground.full_mask
         scale = lcm(*(c.denominator for p in self.points for c in p))
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(
-            self,
-            "_int_points",
-            tuple(
-                tuple(c.numerator * (scale // c.denominator) for c in p)
-                for p in self.points
-            ),
+        ints = tuple(
+            tuple(c.numerator * (scale // c.denominator) for c in p) for p in self.points
         )
+        object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_int_points", ints)
+        object.__setattr__(
+            self, "_system", ClosureSystem.from_rule(self.ground, _hull_rule(ints, full))
+        )
+        object.__setattr__(self, "_search_memo", {})
 
     @classmethod
     def from_coords(cls, dim: int, coords, labels=None) -> "PointConfig":
@@ -122,17 +132,16 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _lifted_system(config: PointConfig, idx, p: int) -> list[list[int]]:
+def _lifted_system(ints: tuple[IntVector, ...], idx, p: int) -> list[list[int]]:
     """Rows of ``sum_j x_j * (q_j, 1) = (p, 1)`` over the points ``idx``."""
-    ints = config._int_points  # type: ignore[attr-defined]
     columns = [ints[i] + (1,) for i in idx] + [ints[p] + (1,)]
     return [list(row) for row in zip(*columns)]
 
 
-def _unique_nonnegative(config: PointConfig, idx, p: int) -> bool:
+def _unique_nonnegative(ints: tuple[IntVector, ...], idx, p: int) -> bool:
     """Do the lifted points ``idx`` have independent columns and reproduce
     ``p`` with nonnegative coefficients?"""
-    rows = _lifted_system(config, idx, p)
+    rows = _lifted_system(ints, idx, p)
     pivots = _eliminate(rows)
     m = len(idx)
     if pivots != list(range(m)):
@@ -143,29 +152,39 @@ def _unique_nonnegative(config: PointConfig, idx, p: int) -> bool:
 def hull_membership(config: PointConfig, y: int, p: int) -> bool:
     """Exact test: is point ``p`` a convex combination of the points in ``y``?
 
-    Points on the hull boundary count as inside.  Planar configurations
-    use integer orientation tests; other dimensions search the column
-    bases of the equality system for a nonnegative basic solution.
+    Points on the hull boundary count as inside.  The answer is bit ``p``
+    of the closure of ``y`` in the configuration's relatively-convex
+    system, so each subset's hull is tested once against every point.
     """
-    if y & ~config._full:  # type: ignore[attr-defined]
+    if y & ~config._full:
         raise InputError("subset uses point ids outside the configuration")
     if not 0 <= p < config.size:
         raise InputError("point id out of range")
-    memo: dict[tuple[int, int], bool] = config._hull_memo  # type: ignore[attr-defined]
-    hit = memo.get((y, p))
-    if hit is None:
-        hit = memo[y, p] = bool(y >> p & 1) or (y != 0 and _hull_test(config, y)(p))
-    return hit
+    return bool(config._system.close(y) >> p & 1)
 
 
-def _hull_test(config: PointConfig, y: int):
-    """Membership test for the hull of the nonempty subset ``y``; in the
-    plane the hull is built once, here."""
-    if config.dim != 2:
-        return lambda p: _hull_membership_bases(config, y, p)
-    ints = config._int_points  # type: ignore[attr-defined]
-    hull = _planar_hull(sorted(ints[i] for i in bits(y)))
-    return lambda p: _in_planar_hull(hull, ints[p])
+def _hull_rule(ints: tuple[IntVector, ...], full: int):
+    """Closure rule of the relatively convex subsets of the points ``ints``:
+    ``y`` plus every outside point in its hull.  In the plane the hull of
+    ``y`` is built once per call; other dimensions run the bases route
+    per point.  The rule holds the points, not their configuration, so
+    a configuration and its system form no reference cycle."""
+    planar = len(ints[0]) == 2
+
+    def rule(y: int) -> int:
+        if not y:
+            return y
+        out = y
+        if planar:
+            hull = _planar_hull(sorted(ints[i] for i in bits(y)))
+            for x in bits(full & ~y):
+                out |= _in_planar_hull(hull, ints[x]) << x
+        else:
+            for x in bits(full & ~y):
+                out |= _hull_membership_bases(ints, y, x) << x
+        return out
+
+    return rule
 
 
 def _orientation(o: IntVector, a: IntVector, b: IntVector) -> int:
@@ -204,14 +223,14 @@ def _in_planar_hull(hull: list[IntVector], q: IntVector) -> bool:
     )
 
 
-def _hull_membership_bases(config: PointConfig, y: int, p: int) -> bool:
+def _hull_membership_bases(ints: tuple[IntVector, ...], y: int, p: int) -> bool:
     """Basic-feasible-solution search over integer column bases, any dimension."""
     idx = list(bits(y))
-    pivots = _eliminate(_lifted_system(config, idx, p))
+    pivots = _eliminate(_lifted_system(ints, idx, p))
     if len(idx) in pivots:
         return False  # rhs not in the column span
     return any(
-        _unique_nonnegative(config, basis, p)
+        _unique_nonnegative(ints, basis, p)
         for basis in combinations(idx, len(pivots))
     )
 
@@ -221,7 +240,7 @@ def hull_membership_caratheodory(config: PointConfig, y: int, p: int) -> bool:
     if y >> p & 1:
         return True
     idx = list(bits(y))
-    ints = config._int_points  # type: ignore[attr-defined]
+    ints = config._int_points
     # A convex combination stays within the coordinate ranges of its
     # points; no single point of y is p (points are distinct); and a
     # point inside the hull mostly lies in a full-size simplex, so
@@ -231,76 +250,27 @@ def hull_membership_caratheodory(config: PointConfig, y: int, p: int) -> bool:
     ):
         return False
     return any(
-        _unique_nonnegative(config, subset, p)
+        _unique_nonnegative(ints, subset, p)
         for size in range(min(len(idx), config.dim + 1), 1, -1)
         for subset in combinations(idx, size)
     )
 
 
-def relconvex_system(config: PointConfig, bound: int | None = None) -> ClosureSystem:
-    """The closure system of relatively convex subsets of the configuration."""
-    from . import config as runtime
-
-    limit = runtime.enumeration_bound(bound)
-    if config.size > limit:
-        raise CapacityError(
-            f"configuration size {config.size} exceeds the enumeration bound {limit}"
-        )
-    full = config._full  # type: ignore[attr-defined]
-    memo = config._hull_memo  # type: ignore[attr-defined]
-
-    def rule(y: int) -> int:
-        if not y:
-            return y
-        inside = _hull_test(config, y)
-        out = y
-        for x in bits(full & ~y):
-            memo[y, x] = hit = inside(x)
-            out |= hit << x
-        return out
-
-    return ClosureSystem.from_rule(config.ground, rule)
-
-
-def _is_convexly_independent(config: PointConfig, members: list[int]) -> bool:
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    for i in members:
-        if hull_membership(config, mask & ~(1 << i), i):
-            return False
-    return True
+def relconvex_system(config: PointConfig) -> ClosureSystem:
+    """The closure system of relatively convex subsets of the configuration
+    (the configuration's own, so its memoized closures are shared)."""
+    return config._system
 
 
 def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]:
     """Largest subset with no point inside the hull of the others."""
-    memo = config._search_memo  # type: ignore[attr-defined]
-    if "independent" in memo:
-        return memo["independent"]
-    n = config.size
-    if n > 16:
-        raise CapacityError(f"configuration size {n} exceeds the search bound 16")
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def extend(start: int, chosen: list[int]) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        if len(chosen) + (n - start) <= best_size:
-            return
-        for nxt in range(start, n):
-            candidate = chosen + [nxt]
-            if _is_convexly_independent(config, candidate):
-                extend(nxt + 1, candidate)
-
-    try:
-        extend(0, [])
-    finally:
-        del extend  # it refers to itself; dropping it frees the cycle now
-    memo["independent"] = best_size, best
-    return best_size, best
+    memo = config._search_memo
+    if "independent" not in memo:
+        n = config.size
+        if n > 16:
+            raise CapacityError(f"configuration size {n} exceeds the search bound 16")
+        memo["independent"] = largest_independent(n, partial(hull_membership, config))
+    return memo["independent"]
 
 
 @dataclass(frozen=True, order=True)
@@ -338,13 +308,13 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
     along the first axis; an optimal cover can always be assumed to use
     pair lines wherever a line carries two or more points.
     """
-    memo = config._search_memo  # type: ignore[attr-defined]
+    memo = config._search_memo
     if "cover" in memo:
         return memo["cover"]
     n = config.size
     if n > 16:
         raise CapacityError(f"configuration size {n} exceeds the search bound 16")
-    ints = config._int_points  # type: ignore[attr-defined]
+    ints = config._int_points
     lines: dict[tuple[IntVector, IntVector], int] = {}
     for i, j in combinations(range(n), 2):
         key = _line_key(ints[i], ints[j])
@@ -359,7 +329,7 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
         return tuple(o * (unit // next(filter(None, d))) for o in offsets), d
 
     candidates = sorted(lines.items(), key=lambda item: order(item[0]))
-    full = config._full  # type: ignore[attr-defined]
+    full = config._full
     max_cover = max(map(popcount, lines.values()), default=1)
     best_count = n
     best_lines = fallback
@@ -387,7 +357,7 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
         search(0, [])
     finally:
         del search  # it refers to itself; dropping it frees the cycle now
-    scale = config._scale  # type: ignore[attr-defined]
+    scale = config._scale
     memo["cover"] = best_count, tuple(
         Line(tuple(Fraction(o, scale * next(filter(None, d))) for o in offsets), d)
         for offsets, d in sorted(best_lines, key=order)
@@ -405,7 +375,7 @@ def _collinear(p: IntVector, q: IntVector, r: IntVector) -> bool:
 
 
 def has_collinear_triple(config: PointConfig, ids) -> bool:
-    ints = config._int_points  # type: ignore[attr-defined]
+    ints = config._int_points
     return any(
         _collinear(ints[a], ints[b], ints[c]) for a, b, c in combinations(ids, 3)
     )
@@ -419,13 +389,11 @@ def check_es5(config: PointConfig) -> Verdict:
     """
     if config.dim != 2:
         raise InputError("the five-point property is checked in the plane only")
+    inside = partial(hull_membership, config)
     for five in combinations(range(config.size), 5):
         if has_collinear_triple(config, five):
             continue
-        if not any(
-            _is_convexly_independent(config, list(four))
-            for four in combinations(five, 4)
-        ):
+        if not any(is_independent(four, inside) for four in combinations(five, 4)):
             return Verdict(
                 False,
                 {

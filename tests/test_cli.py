@@ -175,6 +175,7 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         {"ground": ["a", "b", "c"], "closed": [[], [0, 1], [1, 2], [0, 1, 2]]},
     )
     assert run_cli(capsys, "check", str(missing_meet), "anti-exchange")[0] == 2
+    assert run_cli(capsys, "gen", "omega:9")[0] == 3
     assert run_cli(capsys, "gen", "omega:13")[0] == 3
     assert run_cli(capsys, "gen", "nonsense:1")[0] == 2
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"), "anti-exchange")[0] == 2
@@ -262,6 +263,13 @@ def test_bound_flag_and_env(tmp_path, capsys, monkeypatch):
         assert code == 2 and "input error" in err
     monkeypatch.delenv("CONVEXITY_LAB_BOUND")
     assert run_cli(capsys, "gen", f"points:{big}")[0] == 0
+    # The three strict pairs of a 3-chain form the ground set of its suborders.
+    chain = write(
+        tmp_path, "chain.json", {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}
+    )
+    code, _, err = run_cli(capsys, "gen", f"suborders:{chain}", "--bound", "2")
+    assert code == 3 and "ground set size 3 exceeds the enumeration bound 2" in err
+    assert run_cli(capsys, "gen", f"suborders:{chain}", "--bound", "3")[0] == 0
 
 
 def test_seed_flag_is_echoed(tmp_path, capsys):

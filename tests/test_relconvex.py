@@ -25,7 +25,7 @@ from convexitylab import (
     relconvex_system,
     restrict,
 )
-from convexitylab import relconvex
+from convexitylab import obstructions, relconvex
 from convexitylab.bitset import bits
 from convexitylab.relconvex import Line, _hull_membership_bases, has_collinear_triple
 
@@ -207,7 +207,7 @@ def test_planar_kernel_matches_fraction_routes(config):
         for p in range(n):
             fast = hull_membership(config, y, p)
             assert fast == fraction_caratheodory(config, y, p), (y, p)
-            assert fast == _hull_membership_bases(config, y, p), (y, p)
+            assert fast == _hull_membership_bases(config._int_points, y, p), (y, p)
 
 
 @given(
@@ -226,14 +226,16 @@ def test_planar_kernel_matches_fraction_routes(config):
 @example(PointConfig.from_coords(1, [(0,), (Fraction(1, 2),), (3,), (-1,)]))
 @settings(max_examples=90)
 def test_integer_routes_match_fraction_oracle(config):
-    """The fraction-free Carathéodory and basis routes decide every (Y, p)
+    """The fraction-free Carathéodory and basis routes, and the public
+    test through the configuration's closure rule, decide every (Y, p)
     as the rational Carathéodory oracle does, in dimensions 1 to 3."""
     n = config.size
     for y in range(1 << n):
         for p in range(n):
             truth = fraction_caratheodory(config, y, p)
             assert hull_membership_caratheodory(config, y, p) == truth, (y, p)
-            assert _hull_membership_bases(config, y, p) == truth, (y, p)
+            assert _hull_membership_bases(config._int_points, y, p) == truth, (y, p)
+            assert hull_membership(config, y, p) == truth, (y, p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -456,31 +458,54 @@ def test_one_hull_build_per_closure_call(monkeypatch):
 
 
 def test_searches_run_once_per_configuration(monkeypatch):
-    """The independent-set search (its subset tests) and the line-cover
-    search (one integer line key per point pair and per point) run on
-    the first call only; the report and later calls reuse them."""
+    """The independent-set search (its subset tests, shared with
+    ``independent_sets``) and the line-cover search (one integer line
+    key per point pair and per point) run on the first call only; the
+    report and later calls reuse them."""
     work = Counter()
 
-    def counted(name):
-        step = getattr(relconvex, name)
+    def counted(module, name):
+        step = getattr(module, name)
 
         def run(*args):
             work[name] += 1
             return step(*args)
 
-        return run
+        monkeypatch.setattr(module, name, run)
 
-    for name in ("_is_convexly_independent", "_line_key"):
-        monkeypatch.setattr(relconvex, name, counted(name))
+    counted(obstructions, "is_independent")
+    counted(relconvex, "_line_key")
     config = PointConfig.from_coords(2, TIED)
     independent = max_convexly_independent(config)
     cover = min_line_cover(config)
     first = dict(work)
-    assert first == {"_is_convexly_independent": 57, "_line_key": 21 + 7}
+    assert first == {"is_independent": 57, "_line_key": 21 + 7}
     ind, lines, _ = dimension_sandwich_report(config)
     assert (ind, lines) == (independent[0], cover[0])
     assert (max_convexly_independent(config), min_line_cover(config)) == (independent, cover)
     assert work == first
+
+
+def test_full_report_hull_builds_pinned(monkeypatch):
+    """Enumeration, geometry verdict, independence, line cover, es5 and
+    sandwich share the configuration's one closure system: hull queries
+    read its memoized closures, so the whole report builds 122 planar
+    hulls on ``TIED`` (123 with a hull-query memo beside the system's)."""
+    builds = []
+    build = relconvex._planar_hull
+    monkeypatch.setattr(
+        relconvex, "_planar_hull", lambda points: builds.append(1) or build(points)
+    )
+    config = PointConfig.from_coords(2, TIED)
+    system = relconvex_system(config)
+    assert relconvex_system(config) is system
+    system.enumerate_closed_sets()
+    assert is_convex_geometry(system).holds
+    assert max_convexly_independent(config) == (5, (1, 2, 3, 5, 6))
+    min_line_cover(config)
+    assert check_es5(config).holds
+    dimension_sandwich_report(config)
+    assert len(builds) == 122
 
 
 def test_min_line_cover_witness_covers_isolated_points():
