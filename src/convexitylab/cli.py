@@ -9,6 +9,7 @@ present), 2 input error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -61,7 +62,10 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--format", choices=("json", "text"), **kwargs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged,
+    and every call starts from a fresh namespace with the defaults."""
     parser = argparse.ArgumentParser(
         prog="convexitylab",
         description="Construct, verify and analyze finite closure systems.",
@@ -119,7 +123,7 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
         raise InputError(f"source '{source}' needs an argument after ':'")
     provenance = {"generator": source, "tool": "convexitylab"}
     if kind == "chain-intervals":
-        system = interval_system(_positive_int(arg))
+        system = interval_system(_nonnegative_int(arg))
     elif kind == "perm":
         images = fileio.permutation_from_payload(fileio.parse_any(arg))
         system = multichain_system(bichain_from_permutation(images))
@@ -132,7 +136,7 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
     elif kind == "multichain":
         system = multichain_system(fileio.multichain_from_payload(_read(Path(arg))))
     elif kind == "omega":
-        payload = fileio.semilattice_to_payload(omega_prefix(_positive_int(arg)).semilattice())
+        payload = fileio.semilattice_to_payload(omega_prefix(_nonnegative_int(arg)).semilattice())
         payload["provenance"] = provenance
         return payload
     else:
@@ -141,11 +145,14 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
     return payload
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise InputError(f"expected an integer, got '{text}'")
+    if value < 0:
+        raise InputError(f"expected a nonnegative integer, got {value}")
+    return value
 
 
 def _verdict_into(report: dict[str, Any], name: str, verdict: Verdict) -> None:
@@ -165,7 +172,7 @@ def _run_check(system: ClosureSystem, which: str, bound: int | None, report: dic
         _verdict_into(report, name, check_convexity_characterization(lattice))
     elif name == "super-solvable":
         if arg:
-            ordering = tuple(_positive_int(part) for part in arg.split(","))
+            ordering = tuple(_nonnegative_int(part) for part in arg.split(","))
             _verdict_into(report, name, check_super_solvable(system, ordering, bound))
         else:
             found = find_super_solvable_order(system, bound)
@@ -216,8 +223,8 @@ def _run_analyze(payload: Any, which: str, bound: int | None, report: dict) -> N
             if value is None:
                 report["results"]["note"] = "no embedding into at most 4 chains"
     elif name == "obstruction":
-        host = _semilattice_of(payload, system, semilattice, bound)
         max_boolean, max_omega = _parse_obstruction_arg(arg)
+        host = _semilattice_of(payload, system, semilattice, bound)
         result = obstruction_report(host, max_boolean, max_omega)
         report["results"]["boolean_embeds"] = {
             str(k): v for k, v in result.boolean_embeds.items()
@@ -253,9 +260,9 @@ def _parse_obstruction_arg(arg: str) -> tuple[int, int]:
     for part in arg.split(","):
         key, _, value = part.partition("=")
         if key == "boolean":
-            max_boolean = _positive_int(value)
+            max_boolean = _nonnegative_int(value)
         elif key == "omega":
-            max_omega = _positive_int(value)
+            max_omega = _nonnegative_int(value)
         else:
             raise InputError(f"unknown obstruction parameter '{key}'")
     return max_boolean, max_omega
@@ -274,10 +281,13 @@ def _render_text(report: dict[str, Any]) -> str:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output is not None:
-        args.output.write_text(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+        return
+    try:
+        args.output.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -312,17 +322,17 @@ def main(argv: list[str] | None = None) -> int:
             _run_check(system, args.which, bound, report)
         elif args.verb == "analyze":
             _run_analyze(_read(args.file), args.which, bound, report)
+        report["timing_ms"] = int((time.monotonic() - started) * 1000)
+        if args.format == "json":
+            _emit(args, fileio.dumps(report))
+        else:
+            _emit(args, _render_text(report))
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return EXIT_CAPACITY_ERROR
-    report["timing_ms"] = int((time.monotonic() - started) * 1000)
-    if args.format == "json":
-        _emit(args, fileio.dumps(report))
-    else:
-        _emit(args, _render_text(report))
     return EXIT_OK if all(report["verdicts"].values()) else EXIT_CHECK_FAILED
 
 

@@ -39,6 +39,9 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # a number past the integer-string limit, or nesting past the recursion limit
+        raise InputError(f"unreadable JSON: {exc}")
 
 
 def _names(payload: dict[str, Any], key: str, what: str) -> tuple[str, ...]:

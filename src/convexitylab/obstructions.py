@@ -42,6 +42,9 @@ from .ordergen import omega_prefix
 # Largest host the embedding search takes; a boolean pattern beyond
 # 2**13 elements could never serve as a host, so none is built.
 HOST_BOUND = 10000
+# Largest pattern the embedding search takes: boolean(5) has 32
+# elements and omega_prefix(4) has 31.
+PATTERN_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,8 @@ def _embedding_search(
     emptied domain backtracks at once.  Domains live in a list per
     depth; the search is a loop, so it leaves no reference cycle.
     """
-    if pattern.size > 32:
-        raise CapacityError(f"pattern size {pattern.size} exceeds the bound 32")
+    if pattern.size > PATTERN_BOUND:
+        raise CapacityError(f"pattern size {pattern.size} exceeds the bound {PATTERN_BOUND}")
     if host.size > HOST_BOUND:
         raise CapacityError(f"host size {host.size} exceeds the bound {HOST_BOUND}")
     if pattern.size > host.size:
@@ -296,7 +299,19 @@ def obstruction_report(
 
     Results come from the search alone; monotonicity (a failing pattern
     stays failing as it grows) is asserted afterwards, never assumed.
+    Both maxima are checked against the pattern bound before the first
+    search: boolean(k) has 2**k elements and omega_prefix(M) has
+    2**(M + 1) - 1.
     """
+    for name, value, limit in (
+        ("boolean", max_boolean, PATTERN_BOUND.bit_length() - 1),
+        ("omega", max_omega, (PATTERN_BOUND + 1).bit_length() - 2),
+    ):
+        if value > limit:
+            raise CapacityError(
+                f"{name}={value} exceeds the bound {limit}: "
+                f"its pattern has more than {PATTERN_BOUND} elements"
+            )
     boolean_embeds: dict[int, bool] = {}
     omega_embeds: dict[int, bool] = {}
     embeddings: dict[str, EmbeddingMap] = {}

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: verbs, formats, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
+from convexitylab import cli
 from convexitylab.cli import main
 from convexitylab.fileio import dumps, parse_any
 
@@ -204,6 +206,35 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         argv = [verb, str(path), which] if which else ["gen", f"{verb}:{path}"]
         assert run_cli(capsys, *argv)[0] == 2, payload
     assert run_cli(capsys, "gen", "perm:[true,0]")[0] == 2
+    # An output path that cannot be written is an input error, and no
+    # report goes to stdout in its place.
+    chain = tmp_path / "chain.json"
+    run_cli(capsys, "gen", "chain-intervals:3", "--output", str(chain))
+    unwritable = tmp_path / "no-such-dir" / "x.json"
+    for argv in (
+        ["check", str(chain), "modular"],
+        ["analyze", str(chain), "irreducibles"],
+        ["gen", "chain-intervals:3"],
+        ["export", str(chain), "dot"],
+    ):
+        code, stdout, err = run_cli(capsys, *argv, "--output", str(unwritable))
+        assert (code, stdout) == (2, ""), argv
+        assert f"cannot write {unwritable}" in err
+    code, stdout, err = run_cli(capsys, "check", str(chain), "modular", "--output", str(tmp_path))
+    assert (code, stdout) == (2, "") and "cannot write" in err
+    assert not unwritable.parent.exists()
+    # Negative obstruction parameters are input errors; parameters whose
+    # pattern exceeds the search's 32 elements are capacity errors.
+    for which in ("obstruction:boolean=-1", "obstruction:omega=-2", "obstruction:boolean=1,omega=-1"):
+        assert run_cli(capsys, "analyze", str(chain), which)[0] == 2, which
+    for which, name in (
+        ("obstruction:boolean=99", "boolean=99"),
+        ("obstruction:boolean=6,omega=1", "boolean=6"),
+        ("obstruction:boolean=1,omega=5", "omega=5"),
+    ):
+        code, _, err = run_cli(capsys, "analyze", str(chain), which)
+        assert code == 3 and name in err, which
+    assert run_cli(capsys, "analyze", str(chain), "obstruction:boolean=5,omega=4")[0] == 0
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -279,6 +310,76 @@ def test_seed_flag_is_echoed(tmp_path, capsys):
         capsys, "check", str(chain), "anti-exchange", "--seed", "42"
     )
     assert json.loads(stdout)["seed"] == 42
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    chain = tmp_path / "chain.json"
+    run_cli(capsys, "gen", "chain-intervals:3", "--output", str(chain))
+    for which in ("modular", "anti-exchange", "characterization"):
+        run_cli(capsys, "check", str(chain), which)
+    run_cli(capsys, "export", str(chain), "dot")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_calls_share_no_options(tmp_path, capsys, monkeypatch):
+    """Each call starts from the defaults, whatever the call before set."""
+    monkeypatch.delenv("CONVEXITY_LAB_BOUND", raising=False)
+    chain = tmp_path / "chain.json"
+    run_cli(capsys, "gen", "chain-intervals:3", "--output", str(chain))
+    out = tmp_path / "o.json"
+
+    def plain_report():
+        code, stdout, _ = run_cli(capsys, "check", str(chain), "modular")
+        assert code == 1
+        return json.loads(stdout)
+
+    flags = ["--format", "text", "--bound", "5", "--seed", "7", "--output", str(out)]
+    for argv in (["check", str(chain), "modular", *flags], [*flags, "check", str(chain), "modular"]):
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert out.read_text().startswith("command: ")
+        report = plain_report()
+        assert (report["bound"], report["seed"]) == (20, None)
+    monkeypatch.setenv("CONVEXITY_LAB_BOUND", "7")
+    assert plain_report()["bound"] == 7
+    monkeypatch.setenv("CONVEXITY_LAB_BOUND", "9")
+    assert plain_report()["bound"] == 9
+    monkeypatch.delenv("CONVEXITY_LAB_BOUND")
+    with pytest.raises(SystemExit) as stop:
+        main(["check", str(chain), "modular", "--bound", "abc"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert plain_report()["bound"] == 20
+
+
+def test_reports_match_a_freshly_built_parser(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    run_cli(capsys, "gen", "chain-intervals:3", "--output", str(chain))
+    omega = tmp_path / "omega.json"
+    run_cli(capsys, "gen", "omega:1", "--output", str(omega))
+    calls = [
+        ["gen", "chain-intervals:4"],
+        ["gen", "perm:[2,0,1]", "--bound", "5"],
+        ["check", str(chain), "distributive"],
+        ["check", str(chain), "super-solvable", "--format", "text"],
+        ["analyze", str(chain), "irreducibles", "--seed", "3"],
+        ["analyze", str(omega), "obstruction:boolean=2,omega=2"],
+        ["export", str(chain), "json"],
+        ["export", str(chain), "dot"],
+        ["check", str(chain), "nonsense"],
+    ]
+
+    def output(argv):
+        code, stdout, err = run_cli(capsys, *argv)
+        return code, re.sub(r'timing_ms"?: \d+', "timing_ms", stdout), err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(output(argv))
+    assert [output(argv) for argv in calls] == fresh
 
 
 def test_parse_any_rejects_binary(tmp_path):

@@ -29,6 +29,7 @@ from convexitylab import (
     omega_prefix_pattern,
     subsemilattice_system,
 )
+from convexitylab import obstructions
 from convexitylab.bitset import subsets
 from convexitylab.dimension import brute_force_join_dimension
 from convexitylab.lattices import JoinSemilattice
@@ -314,13 +315,24 @@ def test_obstruction_report_monotone_keys():
     assert "boolean(2)" in report.embeddings
 
 
-def test_pattern_capacity_checks():
+def test_pattern_capacity_checks(monkeypatch):
     """Patterns of up to 32 elements are searched; boolean(5) has 32,
-    boolean(6) 64."""
+    boolean(6) 64.  ``obstruction_report`` refuses a larger maximum
+    before its first search."""
     big_host = boolean_pattern(2).semilattice
     assert embeds_as_join_subsemilattice(boolean_pattern(5).semilattice, big_host) is None
     with pytest.raises(CapacityError, match="bound 32"):
         embeds_as_join_subsemilattice(boolean_pattern(6).semilattice, big_host)
+    searched = []
+    monkeypatch.setattr(
+        obstructions, "embeds_as_join_subsemilattice", lambda p, h: searched.append(p.size)
+    )
+    for max_boolean, max_omega, message in ((6, 0, "boolean=6 exceeds the bound 5"),
+                                            (99, 1, "boolean=99"),
+                                            (2, 5, "omega=5 exceeds the bound 4")):
+        with pytest.raises(CapacityError, match=message):
+            obstruction_report(big_host, max_boolean, max_omega)
+    assert searched == []
 
 
 def test_omega_prefix_four_fits_the_pattern_bound():
