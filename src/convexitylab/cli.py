@@ -18,7 +18,7 @@ from typing import Any
 from . import config as runtime
 from . import fileio
 from .closure import ClosureSystem
-from .dimension import brute_force_join_dimension, join_dimension, verify_duality
+from .dimension import join_dimension, verify_duality
 from .errors import CapacityError, InputError
 from .geometry import (
     Verdict,
@@ -123,7 +123,9 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
         raise InputError(f"source '{source}' needs an argument after ':'")
     provenance = {"generator": source, "tool": "convexitylab"}
     if kind == "chain-intervals":
-        system = interval_system(_nonnegative_int(arg))
+        n = _nonnegative_int(arg)
+        runtime.check_ground_size(n, bound)  # before building its n(n+1)/2 intervals
+        system = interval_system(n)
     elif kind == "perm":
         images = fileio.permutation_from_payload(fileio.parse_any(arg))
         system = multichain_system(bichain_from_permutation(images))
@@ -213,15 +215,8 @@ def _run_analyze(payload: Any, which: str, bound: int | None, report: dict) -> N
         report["results"]["independent_size"] = size
         report["witnesses"]["independent"] = [system.ground.labels[i] for i in witness]
     elif name == "dimension":
-        if system is not None:
-            lattice = system.enumerate_closed_sets(bound)
-            report["results"]["join_dimension"] = join_dimension(lattice)
-        else:
-            assert semilattice is not None
-            value = brute_force_join_dimension(semilattice)
-            report["results"]["join_dimension"] = value
-            if value is None:
-                report["results"]["note"] = "no embedding into at most 4 chains"
+        source = semilattice if system is None else system.enumerate_closed_sets(bound)
+        report["results"]["join_dimension"] = join_dimension(source)
     elif name == "obstruction":
         max_boolean, max_omega = _parse_obstruction_arg(arg)
         host = _semilattice_of(payload, system, semilattice, bound)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import config
 from .bitset import bits, is_subset, superset_rows
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .posets import CoverQueries, Covers, cover_tuples
 
 
@@ -148,9 +148,6 @@ class ClosureSystem:
         self._memo[y] = result
         return result
 
-    def is_closed(self, y: int) -> bool:
-        return self.close(y) == y
-
     def closed_family(self, bound: int | None = None) -> frozenset[int]:
         if self._family is not None:
             return self._family
@@ -184,12 +181,8 @@ def enumerate_closed_sets(system: ClosureSystem, bound: int | None = None) -> "C
     Uses lectic NextClosure generation for intensional rules and a
     direct family copy for extensional ones.
     """
-    limit = config.enumeration_bound(bound)
     n = system.ground.size
-    if n > limit:
-        raise CapacityError(
-            f"ground set size {n} exceeds the enumeration bound {limit}"
-        )
+    config.check_ground_size(n, bound)
     if system.is_extensional:
         masks = tuple(sorted(system.closed_family()))
     else:

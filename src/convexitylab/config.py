@@ -9,7 +9,7 @@ is an input error.
 
 import os
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 DEFAULT_ENUMERATION_BOUND = 20
 
@@ -28,3 +28,11 @@ def enumeration_bound(explicit: int | None = None) -> int:
     if explicit < 0:
         raise InputError(f"the enumeration bound must be nonnegative, got {explicit}")
     return explicit
+
+
+def check_ground_size(n: int, bound: int | None = None) -> None:
+    """Raise ``CapacityError`` if a ground set of n elements exceeds the
+    enumeration bound."""
+    limit = enumeration_bound(bound)
+    if n > limit:
+        raise CapacityError(f"ground set size {n} exceeds the enumeration bound {limit}")

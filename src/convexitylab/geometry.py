@@ -405,7 +405,8 @@ def is_modular(lattice: Lattice | ClosedSetLattice) -> Verdict:
     """A finite lattice is modular iff it is upper and lower semimodular
     (Grätzer, Lattice Theory: Foundation, 2011), which is checked on
     pairs of covers.  Only on failure does the cubic modular-law scan
-    run, and its failing triple is turned into an N5 copy."""
+    run; for its failing triple x <= z, Dedekind's elements y ^ z,
+    x v (y ^ z) < (x v y) ^ z, y and x v y always form an N5 copy."""
     lat = as_lattice(lattice)
     if _semimodular(lat):
         return _PASS
@@ -417,10 +418,7 @@ def is_modular(lattice: Lattice | ClosedSetLattice) -> Verdict:
     q = lat.meet(lat.join(x, y), z)
     elems = (lat.meet(y, z), p, q, y, lat.join(x, y))
     if not _is_n5_copy(lat, elems):
-        found = find_sublattice_copy(lat, "N5")
-        if found is None:
-            raise InternalError("modular law failed yet no N5 copy exists")
-        elems = found  # type: ignore[assignment]
+        raise InternalError("Dedekind's construction gave no N5 copy")
     return Verdict(
         False,
         {"kind": "N5", "elements": [lat.labels[e] for e in elems]},
@@ -432,7 +430,11 @@ def is_distributive(lattice: Lattice | ClosedSetLattice) -> Verdict:
     join-prime (Birkhoff 1937), i.e. J(x v y) = J(x) | J(y) for the masks
     J(x) of join-irreducibles below x.  On failure a non-modular lattice
     gets the N5 witness of ``is_modular``; otherwise the cubic median-law
-    scan runs and its failing triple is turned into an M3 copy."""
+    scan runs.  For its failing triple, m = (x ^ y) v (y ^ z) v (z ^ x)
+    and t = (x v y) ^ (y v z) ^ (z v x), modularity gives
+    x ^ m = (x ^ y) v (x ^ z) < x ^ (y v z) = x ^ t, so m < t, and
+    Birkhoff's elements m, m v (x ^ t), m v (y ^ t), m v (z ^ t), t
+    always form an M3 copy."""
     lat = as_lattice(lattice)
     jmask = sum(1 << j for j in lat.join_irreducibles())
     below = [lat.down(x) & jmask for x in range(lat.size)]
@@ -453,10 +455,7 @@ def is_distributive(lattice: Lattice | ClosedSetLattice) -> Verdict:
     c = lat.join(m, lat.meet(z, top))
     elems = (m, a, b, c, top)
     if not _is_m3_copy(lat, elems):
-        found = find_sublattice_copy(lat, "M3")
-        if found is None:
-            raise InternalError("median law failed in a modular lattice yet no M3 copy exists")
-        elems = found  # type: ignore[assignment]
+        raise InternalError("Birkhoff's construction gave no M3 copy")
     return Verdict(
         False,
         {"kind": "M3", "elements": [lat.labels[e] for e in elems]},
@@ -478,13 +477,7 @@ def antimatroid_from_distributive(lattice: Lattice | ClosedSetLattice) -> Closur
     if not mi:
         raise InputError("lattice has no meet-irreducible elements")
     ground = GroundSet(tuple(lat.labels[m] for m in mi))
-    family = set()
-    for x in range(lat.size):
-        mask = 0
-        for p, m in enumerate(mi):
-            if lat.leq(x, m):
-                mask |= 1 << p
-        family.add(mask)
+    family = set(antimatroid_dual_map(lat).values())
     if len(family) != lat.size:
         raise InternalError("meet-irreducible filters failed to separate elements")
     return ClosureSystem.from_closed_family(ground, family, _trusted=True)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from .bitset import bits, superset_rows
 from .closure import ClosedSetLattice
 from .errors import InputError
-from .posets import BoundTable, FinitePoset, bound_table, down_rows
+from .posets import (
+    BoundTable, CoverQueries, Covers, FinitePoset, bound_table, cover_tuples, down_rows
+)
 
 OrderRows = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -158,7 +160,7 @@ def _table_up_rows(labels: tuple[str, ...], table: Sequence[Sequence[int]]) -> t
     return tuple(up)
 
 
-class JoinSemilattice:
+class JoinSemilattice(CoverQueries):
     """Elements with a total, associative, commutative, idempotent join.
 
     The partial order is i <= j iff join(i, j) == j.  The join is
@@ -166,7 +168,8 @@ class JoinSemilattice:
     order's up- and down-rows (as ``order_rows`` returns them) are
     passed in by a semilattice taken from a lattice, which has them
     already; otherwise ``order_rows`` reads every pair once, the first
-    time the bitmask order is asked for, and keeps the rows.
+    time the bitmask order is asked for, and keeps the rows.  Covers
+    and irreducibles come from the up-rows.
     """
 
     def __init__(
@@ -183,6 +186,7 @@ class JoinSemilattice:
         self._join_fn = join_fn
         self._memo: dict[tuple[int, int], int] = {}
         self._rows = rows
+        self._covers: Covers | None = None
 
     @classmethod
     def from_table(cls, labels: Sequence[str], table: Sequence[Sequence[int]]) -> "JoinSemilattice":
@@ -234,6 +238,11 @@ class JoinSemilattice:
                         down[i] |= 1 << j
             self._rows = tuple(up), tuple(down)
         return self._rows
+
+    def _cover_tuples(self) -> Covers:
+        if self._covers is None:
+            self._covers = cover_tuples(self.order_rows()[0])
+        return self._covers
 
     def with_bottom(self, label: str = "⊥") -> "JoinSemilattice":
         """Adjoin a fresh least element below everything."""

@@ -276,9 +276,7 @@ def independent_sets(
     closures of its subsets.
     """
     n = system.ground.size
-    limit = runtime.enumeration_bound(bound)
-    if n > limit:
-        raise CapacityError(f"ground size {n} exceeds the enumeration bound {limit}")
+    runtime.check_ground_size(n, bound)
     return largest_independent(n, lambda rest, i: bool(system.close(rest) >> i & 1))
 
 

@@ -156,6 +156,23 @@ def test_analyze_verbs(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["results"]["join_dimension"] == 2
 
 
+def test_analyze_dimension_on_semilattice_files_of_any_size(tmp_path, capsys):
+    # The nonempty subsets of a 3-set under union, with a 4-chain above
+    # them: 11 elements, no bottom; the meet-irreducibles are the three
+    # 2-sets (an antichain) and the chain below its top.
+    masks = list(range(1, 8)) + [0b1111, 0b11111, 0b111111, 0b1111111]
+    join = [[masks.index(a | b) for b in masks] for a in masks]
+    path = write(tmp_path, "eleven.json", {"elements": [format(m, "b") for m in masks], "join": join})
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "dimension")
+    assert code == 0 and json.loads(stdout)["results"] == {"join_dimension": 3}
+    # Five atoms between a bottom and a top: join-dimension 5.
+    masks = [0, 1, 2, 4, 8, 16, 31]
+    join = [[masks.index(a | b) if a | b in masks else 6 for b in masks] for a in masks]
+    path = write(tmp_path, "m5.json", {"elements": list("0abcde") + ["1"], "join": join})
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "dimension")
+    assert code == 0 and json.loads(stdout)["results"] == {"join_dimension": 5}
+
+
 def test_analyze_obstruction_on_bit_reversal_geometry(tmp_path, capsys):
     sigma = [int(format(i, "03b")[::-1], 2) for i in range(8)]
     system = tmp_path / "bitrev.json"
@@ -179,6 +196,10 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     assert run_cli(capsys, "check", str(missing_meet), "anti-exchange")[0] == 2
     assert run_cli(capsys, "gen", "omega:9")[0] == 3
     assert run_cli(capsys, "gen", "omega:13")[0] == 3
+    # refused before any of its n(n+1)/2 intervals is built
+    code, stdout, err = run_cli(capsys, "gen", "chain-intervals:1000000")
+    assert (code, stdout) == (3, "")
+    assert "ground set size 1000000 exceeds the enumeration bound 20" in err
     assert run_cli(capsys, "gen", "nonsense:1")[0] == 2
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"), "anti-exchange")[0] == 2
     no_points = write(tmp_path, "empty.json", {"dim": 2, "points": []})

@@ -1,10 +1,13 @@
 """Join-dimension: chain covers, duality, and the brute-force oracle."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_max_antichain, random_poset
+from conftest import brute_force_max_antichain, lattice_of_family, random_poset
 from convexitylab import (
     CapacityError,
     GroundSet,
@@ -21,7 +24,7 @@ from convexitylab import (
     verify_duality,
 )
 from convexitylab.dimension import ChainCover
-from convexitylab.lattices import as_lattice
+from convexitylab.lattices import JoinSemilattice, as_lattice
 from convexitylab.posets import FinitePoset
 
 
@@ -133,8 +136,76 @@ def test_verify_duality_examples():
     from convexitylab import interval_system
 
     assert verify_duality(as_lattice(interval_system(3).enumerate_closed_sets())).holds
-    with pytest.raises(CapacityError):
-        verify_duality(boolean_lattice(4))
+    assert verify_duality(boolean_lattice(4)).holds
+    assert verify_duality(boolean_lattice(6)).holds
+
+
+def duality_by_superset_scan(lattice) -> bool:
+    """Exhaustive oracle: the least chain-cover size over all meet-dense
+    subsets equals the join-dimension.  Only supersets of the
+    meet-irreducibles are scanned, as every meet-dense subset is one."""
+    lat = as_lattice(lattice)
+    mi = meet_irreducibles(lat)
+    others = [x for x in range(lat.size) if x not in mi]
+    best = None
+    for extra_count in range(len(others) + 1):
+        for extra in combinations(others, extra_count):
+            members = tuple(sorted(mi + extra))
+            if all(
+                lat.meet_of_set([a for a in members if lat.leq(x, a)]) == x
+                for x in range(lat.size)
+            ):
+                size = min_chain_cover(lat, members).size
+                best = size if best is None else min(best, size)
+    return best == join_dimension(lat)
+
+
+def test_verify_duality_matches_superset_scan_on_corpus(lattice_corpus):
+    for lattice in lattice_corpus:
+        assert verify_duality(lattice).holds == duality_by_superset_scan(lattice)
+
+
+@st.composite
+def closed_set_lattices(draw, max_size: int):
+    """Closed-set lattices of intersection-closed families over a ground
+    set of at most five elements, with at most ``max_size`` members."""
+    n = draw(st.integers(1, 5))
+    full = (1 << n) - 1
+    family = {full} | draw(st.sets(st.integers(0, full), max_size=8))
+    while any(a & b not in family for a in family for b in family):
+        family |= {a & b for a in family for b in family}
+    assume(len(family) <= max_size)
+    return lattice_of_family(frozenset(family), n)
+
+
+@given(lattice=closed_set_lattices(14))
+def test_verify_duality_matches_superset_scan_on_random_lattices(lattice):
+    assert verify_duality(lattice).holds == duality_by_superset_scan(lattice)
+
+
+@st.composite
+def union_closed_semilattices(draw):
+    """Join-semilattices of union-closed families of one to ten subsets
+    of a 4-set, drawn with a bottom (the empty set added) or without one
+    (at least two minimal members)."""
+    family = set(draw(st.sets(st.integers(0, 15), min_size=1, max_size=5)))
+    while any(a | b not in family for a in family for b in family):
+        family |= {a | b for a in family for b in family}
+    if draw(st.booleans()):
+        family.add(0)
+    else:
+        assume(not any(all(a & ~b == 0 for b in family) for a in family))
+    assume(len(family) <= 10)
+    masks = sorted(family)
+    index = {m: i for i, m in enumerate(masks)}
+    table = [[index[a | b] for b in masks] for a in masks]
+    return JoinSemilattice.from_table([format(m, "04b") for m in masks], table)
+
+
+@settings(max_examples=300)
+@given(semilattice=union_closed_semilattices())
+def test_semilattice_join_dimension_matches_brute_force(semilattice):
+    assert join_dimension(semilattice) == brute_force_join_dimension(semilattice)
 
 
 def test_join_dimension_matches_brute_force_small(lattice_corpus):

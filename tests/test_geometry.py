@@ -452,6 +452,32 @@ def test_one_lattice_per_closed_set_lattice_and_scans_only_on_failure(monkeypatc
     assert (median[0], modular[0]) == (0, 3)
 
 
+def test_verdict_witnesses_need_no_sublattice_search(monkeypatch, lattice_corpus):
+    # Dedekind's elements from the first failing modular triple form an
+    # N5 copy, and Birkhoff's from the first failing median triple of a
+    # modular lattice an M3 copy, so no verdict searches for one.
+    searches = _counting(monkeypatch, geometry, "find_sublattice_copy")
+    rng = random.Random(20221020)
+    families = [random_intersection_closed_family(rng, 5) for _ in range(200)]
+    sources = lattice_corpus + [partition_lattice(4)] + [
+        as_lattice(system_of_family(family, 5).enumerate_closed_sets()) for family in families
+    ]
+    copies = {"N5": 0, "M3": 0}
+    for source in sources:
+        for lat in (source, source.dual()):
+            index = {label: e for e, label in enumerate(lat.labels)}
+            for verdict in (is_modular(lat), is_distributive(lat)):
+                if verdict:
+                    continue
+                kind = verdict.witness["kind"]
+                elems = tuple(index[label] for label in verdict.witness["elements"])
+                is_copy = geometry._is_n5_copy if kind == "N5" else geometry._is_m3_copy
+                assert is_copy(lat, elems), (kind, elems)
+                copies[kind] += 1
+    assert searches[0] == 0
+    assert copies["N5"] > 500 and copies["M3"] > 0
+
+
 def test_antimatroid_from_boolean_two_atoms():
     system = antimatroid_from_distributive(boolean_lattice(2))
     assert system.ground.size == 2
