@@ -30,7 +30,7 @@ from .geometry import (
     is_distributive,
     is_modular,
 )
-from .lattices import JoinSemilattice, as_lattice
+from .lattices import as_lattice
 from .obstructions import independent_sets, obstruction_report
 from .ordergen import (
     bichain_from_permutation,
@@ -219,7 +219,7 @@ def _run_analyze(payload: Any, which: str, bound: int | None, report: dict) -> N
         report["results"]["join_dimension"] = join_dimension(source)
     elif name == "obstruction":
         max_boolean, max_omega = _parse_obstruction_arg(arg)
-        host = _semilattice_of(payload, system, semilattice, bound)
+        host = semilattice or compact_semilattice_of_geometry(system, bound)
         result = obstruction_report(host, max_boolean, max_omega)
         report["results"]["boolean_embeds"] = {
             str(k): v for k, v in result.boolean_embeds.items()
@@ -234,18 +234,6 @@ def _run_analyze(payload: Any, which: str, bound: int | None, report: dict) -> N
         _verdict_into(report, name, verify_duality(lattice))
     else:
         raise InputError(f"unknown analysis '{which}'")
-
-
-def _semilattice_of(
-    payload: Any,
-    system: ClosureSystem | None,
-    semilattice: JoinSemilattice | None,
-    bound: int | None,
-) -> JoinSemilattice:
-    if semilattice is not None:
-        return semilattice
-    assert system is not None
-    return compact_semilattice_of_geometry(system, bound)
 
 
 def _parse_obstruction_arg(arg: str) -> tuple[int, int]:

@@ -31,12 +31,14 @@ class GroundSet:
     """Labelled ground set; element ids are 0..size-1."""
 
     labels: tuple[str, ...]
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) < 1:
             raise InputError("ground set must have at least one element")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("ground set labels must be unique")
+        object.__setattr__(self, "full_mask", (1 << len(self.labels)) - 1)
 
     @classmethod
     def of_size(cls, n: int, prefix: str = "") -> "GroundSet":
@@ -45,10 +47,6 @@ class GroundSet:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     def mask_of(self, ids: Iterable[int]) -> int:
         mask = 0

@@ -4,16 +4,39 @@ The enumeration bound caps the ground-set size for which closed-set
 families are enumerated (worst case 2**bound sets).  Order of
 precedence: explicit argument, CONVEXITY_LAB_BOUND environment
 variable, built-in default.  A bound that is not a nonnegative integer
-is an input error.
+is an input error.  It is the only limit that can be set; every other
+one is an entry of the read-only ``LIMITS``, or is derived from an entry
+where it is checked.  Every refusal is raised by ``check_limit``.
 """
 
 import os
+from types import MappingProxyType
 
 from .errors import CapacityError, InputError
 
 DEFAULT_ENUMERATION_BOUND = 20
 
 ENV_BOUND = "CONVEXITY_LAB_BOUND"
+
+LIMITS = MappingProxyType({
+    "line-cover": 16,  # points of min_line_cover (point line cover is NP-hard)
+    "super-solvable": 10,  # ground set of find_super_solvable_order
+    "oracle": 10,  # elements of brute_force_join_dimension
+    "oracle-chains": 4,  # and its k_max
+    "sublattice-search": 200,  # elements of find_sublattice_copy
+    "pattern": 32,  # pattern elements of the embedding search: boolean(5), omega_prefix(4)
+    "host": 10000,  # and its host elements
+    "omega-depth": 8,  # omega_prefix(d) has 2**(d + 1) - 1 elements
+})
+
+
+def check_limit(what: str, value: int, name: str, limit: int | None = None) -> None:
+    """Raise ``CapacityError`` "<what> <value> exceeds the <name> bound
+    <limit>" if value exceeds the limit: ``LIMITS[name]``, or a limit
+    the caller derived from that entry."""
+    limit = LIMITS[name] if limit is None else limit
+    if value > limit:
+        raise CapacityError(f"{what} {value} exceeds the {name} bound {limit}")
 
 
 def enumeration_bound(explicit: int | None = None) -> int:
@@ -33,6 +56,4 @@ def enumeration_bound(explicit: int | None = None) -> int:
 def check_ground_size(n: int, bound: int | None = None) -> None:
     """Raise ``CapacityError`` if a ground set of n elements exceeds the
     enumeration bound."""
-    limit = enumeration_bound(bound)
-    if n > limit:
-        raise CapacityError(f"ground set size {n} exceeds the enumeration bound {limit}")
+    check_limit("ground set size", n, "enumeration", enumeration_bound(bound))

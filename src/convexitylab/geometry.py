@@ -4,8 +4,8 @@ A convex geometry is a zero-closed closure system satisfying the
 anti-exchange axiom: for closed A and distinct x, y outside A,
 x in close(A + y) forbids y in close(A + x).  This module decides that
 membership and the related lattice-level criteria: cover structure,
-support reduction, the convexity-lattice characterization (spatial
-plus "y < y v u = y v v forces u = v" over join-irreducibles u, v),
+support reduction, the convexity-lattice characterization ("y < y v u
+= y v v forces u = v" over join-irreducibles u, v),
 super solvability, forbidden-sublattice tests, and the antimatroid
 construction from a distributive lattice.
 
@@ -21,7 +21,8 @@ from typing import Any
 
 from .bitset import bits, is_subset, popcount
 from .closure import ClosedSetLattice, ClosureSystem, GroundSet, restrict
-from .errors import CapacityError, InputError, InternalError
+from .config import check_limit
+from .errors import InputError, InternalError
 from .lattices import Lattice, as_lattice
 
 
@@ -175,17 +176,13 @@ def check_convexity_characterization(lattice: Lattice | ClosedSetLattice) -> Ver
 
     Plain join-irreducibles (unique lower cover) stand in for the
     completely join-irreducible elements, which coincide at finite
-    scale.
+    scale.  Every finite lattice is spatial, so only the second part is
+    checked: by induction on height, an element y that is neither the
+    bottom nor join-irreducible is the join of two of its lower covers,
+    each the join of the join-irreducibles below it.
     """
     lat = as_lattice(lattice)
     ji = lat.join_irreducibles()
-    for y in range(lat.size):
-        below = [j for j in ji if lat.leq(j, y)]
-        if lat.join_of_set(below) != y:
-            return Verdict(
-                False,
-                {"kind": "non-spatial", "element": lat.labels[y]},
-            )
     for y in range(lat.size):
         for ui in range(len(ji)):
             u = ji[ui]
@@ -269,8 +266,7 @@ def find_super_solvable_order(
     Returns the lexicographically least passing ordering, or None.
     """
     n = system.ground.size
-    if n > 10:
-        raise CapacityError(f"ground set size {n} exceeds the search bound 10")
+    check_limit("ground set size", n, "super-solvable")
     lattice = system.enumerate_closed_sets(bound)
     fam = lattice.masks
     in_family = set(fam)
@@ -350,10 +346,9 @@ def _is_n5_copy(lat: Lattice, elems: tuple[int, int, int, int, int]) -> bool:
 def find_sublattice_copy(
     lattice: Lattice | ClosedSetLattice, pattern: str
 ) -> tuple[int, ...] | None:
-    """Exhaustive search for an M3 or N5 sublattice copy (size <= 200)."""
+    """Exhaustive search for an M3 or N5 sublattice copy."""
     lat = as_lattice(lattice)
-    if lat.size > 200:
-        raise CapacityError(f"lattice size {lat.size} exceeds the sublattice-search bound 200")
+    check_limit("lattice size", lat.size, "sublattice-search")
     n = lat.size
     if pattern == "M3":
         for a in range(n):

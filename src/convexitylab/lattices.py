@@ -65,18 +65,6 @@ class Lattice(FinitePoset):
     def top(self) -> int:
         return self._down.index((1 << self.size) - 1)
 
-    def join_of_set(self, ids: Sequence[int]) -> int:
-        out = self.bottom
-        for i in ids:
-            out = self.join(out, i)
-        return out
-
-    def meet_of_set(self, ids: Sequence[int]) -> int:
-        out = self.top
-        for i in ids:
-            out = self.meet(out, i)
-        return out
-
     def dual(self) -> "Lattice":
         return Lattice(self.labels, self._down)
 
@@ -164,7 +152,7 @@ class JoinSemilattice(CoverQueries):
     """Elements with a total, associative, commutative, idempotent join.
 
     The partial order is i <= j iff join(i, j) == j.  The join is
-    evaluated lazily through a function and memoized per pair.  The
+    evaluated through a function, each time it is asked for.  The
     order's up- and down-rows (as ``order_rows`` returns them) are
     passed in by a semilattice taken from a lattice, which has them
     already; otherwise ``order_rows`` reads every pair once, the first
@@ -184,7 +172,6 @@ class JoinSemilattice(CoverQueries):
         if not self.labels:
             raise InputError("semilattice must be nonempty")
         self._join_fn = join_fn
-        self._memo: dict[tuple[int, int], int] = {}
         self._rows = rows
         self._covers: Covers | None = None
 
@@ -208,12 +195,7 @@ class JoinSemilattice(CoverQueries):
         return len(self.labels)
 
     def join(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._join_fn(i, j)
-            self._memo[key] = hit
-        return hit
+        return self._join_fn(i, j)
 
     def leq(self, i: int, j: int) -> bool:
         return self.join(i, j) == j

@@ -18,9 +18,13 @@ starts with the hosts whose up- and down-sets are large enough, and
 each assignment narrows every later domain to the hosts in the right
 order relation to it.  Candidates are taken lowest id first
 and nothing is pruned that could hold an embedding, so the reported
-embedding is the least one in search order.  Patterns have at most 32
-elements, enough for ``omega_prefix(4)`` (31).  Every returned map is
+embedding is the least one in search order.  Every returned map is
 re-verified from scratch against injectivity and join preservation.
+
+The search takes patterns and hosts within the "pattern" (32, enough
+for ``omega_prefix(4)``) and "host" (10,000) entries of ``config.LIMITS``.
+No pattern is built larger than the host bound, and
+``obstruction_report`` checks its maxima before the first search.
 
 Independence is one search, ``largest_independent``, over the subsets
 in which no member depends on the rest; it takes the dependence test
@@ -32,19 +36,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from math import isqrt
 
 from . import config as runtime
 from .closure import ClosureSystem
-from .errors import CapacityError, InputError, InternalError
+from .errors import InputError, InternalError
 from .lattices import JoinSemilattice
 from .ordergen import omega_prefix
-
-# Largest host the embedding search takes; a boolean pattern beyond
-# 2**13 elements could never serve as a host, so none is built.
-HOST_BOUND = 10000
-# Largest pattern the embedding search takes: boolean(5) has 32
-# elements and omega_prefix(4) has 31.
-PATTERN_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,8 @@ def boolean_pattern(n: int) -> Pattern:
     """Subsets of an n-set under union."""
     if n < 0:
         raise InputError("pattern parameter must be nonnegative")
-    limit = HOST_BOUND.bit_length() - 1
-    if n > limit:
-        raise CapacityError(f"boolean pattern parameter {n} exceeds the bound {limit}")
+    limit = runtime.LIMITS["host"].bit_length() - 1  # 2**n elements fit the host bound
+    runtime.check_limit("boolean pattern parameter", n, "host", limit)
     labels = tuple(
         "{" + ",".join(str(b) for b in range(n) if m >> b & 1) + "}"
         for m in range(1 << n)
@@ -73,8 +70,9 @@ def interval_chain_pattern(n: int) -> Pattern:
     """Intervals of an n-chain (with the empty interval) under span-join."""
     if n < 1:
         raise InputError("pattern parameter must be at least 1")
-    if n > 100:
-        raise CapacityError(f"interval pattern parameter {n} exceeds the bound 100")
+    # n(n + 1)/2 + 1 elements fit the host bound
+    limit = (isqrt(8 * runtime.LIMITS["host"] - 7) - 1) // 2
+    runtime.check_limit("interval pattern parameter", n, "host", limit)
     intervals: list[tuple[int, int] | None] = [None]
     intervals += [(i, j) for i in range(n) for j in range(i, n)]
     index = {iv: k for k, iv in enumerate(intervals)}
@@ -143,10 +141,8 @@ def _embedding_search(
     emptied domain backtracks at once.  Domains live in a list per
     depth; the search is a loop, so it leaves no reference cycle.
     """
-    if pattern.size > PATTERN_BOUND:
-        raise CapacityError(f"pattern size {pattern.size} exceeds the bound {PATTERN_BOUND}")
-    if host.size > HOST_BOUND:
-        raise CapacityError(f"host size {host.size} exceeds the bound {HOST_BOUND}")
+    runtime.check_limit("pattern size", pattern.size, "pattern")
+    runtime.check_limit("host size", host.size, "host")
     if pattern.size > host.size:
         return None, 0
     n = pattern.size
@@ -301,15 +297,10 @@ def obstruction_report(
     search: boolean(k) has 2**k elements and omega_prefix(M) has
     2**(M + 1) - 1.
     """
-    for name, value, limit in (
-        ("boolean", max_boolean, PATTERN_BOUND.bit_length() - 1),
-        ("omega", max_omega, (PATTERN_BOUND + 1).bit_length() - 2),
-    ):
-        if value > limit:
-            raise CapacityError(
-                f"{name}={value} exceeds the bound {limit}: "
-                f"its pattern has more than {PATTERN_BOUND} elements"
-            )
+    size = runtime.LIMITS["pattern"]
+    boolean_limit, omega_limit = size.bit_length() - 1, (size + 1).bit_length() - 2
+    runtime.check_limit(f"boolean={max_boolean}: parameter", max_boolean, "pattern", boolean_limit)
+    runtime.check_limit(f"omega={max_omega}: parameter", max_omega, "pattern", omega_limit)
     boolean_embeds: dict[int, bool] = {}
     omega_embeds: dict[int, bool] = {}
     embeddings: dict[str, EmbeddingMap] = {}

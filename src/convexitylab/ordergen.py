@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .bitset import bits
 from .closure import ClosureSystem, GroundSet, join_of_systems
-from .errors import CapacityError, InputError
+from .config import check_limit
+from .errors import InputError
 from .lattices import JoinSemilattice
 from .posets import FinitePoset, down_rows
 
@@ -125,13 +126,8 @@ def initial_system_of_order(ground: GroundSet, rank: tuple[int, ...]) -> Closure
 
 
 def multichain_system(m: Multichain) -> ClosureSystem:
-    """Join of the initial-segment systems of the component orders."""
-    if m.arity > 6:
-        raise CapacityError(f"multichain arity {m.arity} exceeds the bound 6")
-    if m.ground.size > 16:
-        raise CapacityError(
-            f"multichain ground size {m.ground.size} exceeds the bound 16"
-        )
+    """Join of the initial-segment systems of the component orders.  It is
+    built in O(nm); enumerating it checks the enumeration bound."""
     return join_of_systems([initial_system_of_order(m.ground, r) for r in m.orders])
 
 
@@ -243,8 +239,7 @@ class OmegaPrefix:
 def omega_prefix(depth: int) -> OmegaPrefix:
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    if depth > 8:
-        raise CapacityError(f"depth {depth} exceeds the bound 8")
+    check_limit("depth", depth, "omega-depth")
     elements = tuple(
         (n, k) for n in range(depth + 1) for k in range(1 << n)
     )

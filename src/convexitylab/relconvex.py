@@ -36,7 +36,8 @@ from typing import Any
 
 from .bitset import bits, popcount
 from .closure import ClosureSystem, GroundSet
-from .errors import CapacityError, InputError
+from .config import check_ground_size, check_limit
+from .errors import InputError
 from .geometry import Verdict
 from .obstructions import is_independent, largest_independent
 
@@ -263,12 +264,12 @@ def relconvex_system(config: PointConfig) -> ClosureSystem:
 
 
 def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]:
-    """Largest subset with no point inside the hull of the others."""
+    """Largest subset with no point inside the hull of the others; the
+    configuration must fit the enumeration bound, as in ``independent_sets``."""
     memo = config._search_memo
     if "independent" not in memo:
         n = config.size
-        if n > 16:
-            raise CapacityError(f"configuration size {n} exceeds the search bound 16")
+        check_ground_size(n)
         memo["independent"] = largest_independent(n, partial(hull_membership, config))
     return memo["independent"]
 
@@ -312,8 +313,7 @@ def min_line_cover(config: PointConfig) -> tuple[int, tuple[Line, ...]]:
     if "cover" in memo:
         return memo["cover"]
     n = config.size
-    if n > 16:
-        raise CapacityError(f"configuration size {n} exceeds the search bound 16")
+    check_limit("configuration size", n, "line-cover")
     ints = config._int_points
     lines: dict[tuple[IntVector, IntVector], int] = {}
     for i, j in combinations(range(n), 2):

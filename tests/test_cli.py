@@ -322,6 +322,11 @@ def test_bound_flag_and_env(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gen", f"suborders:{chain}", "--bound", "2")
     assert code == 3 and "ground set size 3 exceeds the enumeration bound 2" in err
     assert run_cli(capsys, "gen", f"suborders:{chain}", "--bound", "3")[0] == 0
+    # A bichain has no cap of its own: 20 images fit the default bound.
+    code, stdout, _ = run_cli(capsys, "gen", f"perm:{list(range(19, -1, -1))}")
+    assert code == 0 and len(json.loads(stdout)["closed"]) == 211  # the intervals of a 20-chain
+    code, _, err = run_cli(capsys, "gen", f"perm:{list(range(21))}")
+    assert code == 3 and "ground set size 21 exceeds the enumeration bound 20" in err
 
 
 def test_seed_flag_is_echoed(tmp_path, capsys):

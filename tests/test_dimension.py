@@ -1,13 +1,14 @@
 """Join-dimension: chain covers, duality, and the brute-force oracle."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_max_antichain, lattice_of_family, random_poset
+from conftest import brute_force_max_antichain, lattice_of_family, random_poset, system_of_family
 from convexitylab import (
     CapacityError,
     GroundSet,
@@ -152,7 +153,7 @@ def duality_by_superset_scan(lattice) -> bool:
         for extra in combinations(others, extra_count):
             members = tuple(sorted(mi + extra))
             if all(
-                lat.meet_of_set([a for a in members if lat.leq(x, a)]) == x
+                reduce(lat.meet, [a for a in members if lat.leq(x, a)], lat.top) == x
                 for x in range(lat.size)
             ):
                 size = min_chain_cover(lat, members).size
@@ -183,6 +184,20 @@ def test_verify_duality_matches_superset_scan_on_random_lattices(lattice):
     assert verify_duality(lattice).holds == duality_by_superset_scan(lattice)
 
 
+@given(lattice=closed_set_lattices(32))
+def test_finite_lattices_are_spatial_and_meet_dense(lattice):
+    """Each element is the join of the join-irreducibles below it and the
+    meet of the meet-irreducibles above it, in the lattice and its dual:
+    the theorems that let the characterization skip its spatial scan and
+    ``verify_duality`` pass without one."""
+    for lat in (lattice, lattice.dual()):
+        ji, mi = lat.join_irreducibles(), lat.meet_irreducibles()
+        for y in range(lat.size):
+            assert reduce(lat.join, [j for j in ji if lat.leq(j, y)], lat.bottom) == y
+            assert reduce(lat.meet, [m for m in mi if lat.leq(y, m)], lat.top) == y
+        assert verify_duality(lat).holds
+
+
 @st.composite
 def union_closed_semilattices(draw):
     """Join-semilattices of union-closed families of one to ten subsets
@@ -208,7 +223,7 @@ def test_semilattice_join_dimension_matches_brute_force(semilattice):
     assert join_dimension(semilattice) == brute_force_join_dimension(semilattice)
 
 
-def test_join_dimension_matches_brute_force_small(lattice_corpus):
+def test_join_dimension_matches_brute_force_small(lattice_corpus, families3):
     checked = 0
     for lattice in lattice_corpus:
         if lattice.size > 10:
@@ -218,6 +233,14 @@ def test_join_dimension_matches_brute_force_small(lattice_corpus):
         )
         checked += 1
     assert checked >= 100
+    # Closed-set lattices answer from their own covers, with no Lattice
+    # built, and agree with the Lattice of the same closed sets.
+    for fam in families3:
+        closed = system_of_family(fam, 3).enumerate_closed_sets()
+        answers = (join_dimension(closed), meet_irreducibles(closed))
+        assert closed._lattice is None
+        lattice = as_lattice(closed)
+        assert answers == (join_dimension(lattice), meet_irreducibles(lattice))
 
 
 def test_downset_product_identity_for_disjoint_chains():

@@ -113,8 +113,11 @@ def test_interval_chain_pattern_shapes():
     assert p2.size == 4
     assert set(p2.labels) == {"{}", "[0,0]", "[1,1]", "[0,1]"}
     assert p2.labels[p2.join(p2.labels.index("[0,0]"), p2.labels.index("[1,1]"))] == "[0,1]"
-    with pytest.raises(CapacityError):
-        interval_chain_pattern(101)
+    # interval_chain(n) has n(n + 1)/2 + 1 elements: 9,871 at 140, within
+    # the host bound of 10,000, and 10,012 at 141
+    assert interval_chain_pattern(140).semilattice.size == 9871
+    with pytest.raises(CapacityError, match="parameter 141 exceeds the host bound 140"):
+        interval_chain_pattern(141)
 
 
 def test_embeds_boolean_one_anywhere_with_a_strict_pair():
@@ -327,9 +330,11 @@ def test_pattern_capacity_checks(monkeypatch):
     monkeypatch.setattr(
         obstructions, "embeds_as_join_subsemilattice", lambda p, h: searched.append(p.size)
     )
-    for max_boolean, max_omega, message in ((6, 0, "boolean=6 exceeds the bound 5"),
-                                            (99, 1, "boolean=99"),
-                                            (2, 5, "omega=5 exceeds the bound 4")):
+    for max_boolean, max_omega, message in (
+        (6, 0, "boolean=6: parameter 6 exceeds the pattern bound 5"),
+        (99, 1, "boolean=99"),
+        (2, 5, "omega=5: parameter 5 exceeds the pattern bound 4"),
+    ):
         with pytest.raises(CapacityError, match=message):
             obstruction_report(big_host, max_boolean, max_omega)
     assert searched == []

@@ -140,10 +140,19 @@ def test_multichain_systems_are_convex_geometries():
 
 
 def test_multichain_capacity():
+    """Building a multichain system has no cap of its own; enumerating
+    its closed sets checks the enumeration bound."""
     ground = GroundSet.of_size(3)
     order = (0, 1, 2)
-    with pytest.raises(CapacityError):
-        multichain_system(Multichain(ground, (order,) * 7))
+    seven = multichain_system(Multichain(ground, (order,) * 7))
+    assert seven.enumerate_closed_sets().masks == (0, 0b1, 0b11, 0b111)
+    reverse = bichain_from_permutation(tuple(range(20, -1, -1)))
+    with pytest.raises(CapacityError, match="ground set size 21 exceeds the enumeration bound 20"):
+        multichain_system(reverse).enumerate_closed_sets()
+    # the 32-point bit-reversal bichain has 241 closed sets
+    bitrev = tuple(int(format(i, "05b")[::-1], 2) for i in range(32))
+    host = multichain_system(bichain_from_permutation(bitrev))
+    assert host.enumerate_closed_sets(bound=32).size == 241
 
 
 def test_delta_semilattice_examples():

@@ -569,8 +569,12 @@ def test_dimension_sandwich_examples():
 
 
 def test_capacity_limits():
+    """Independence takes the enumeration bound, as ``independent_sets``
+    does; the line cover keeps its own bound of 16."""
     big = PointConfig.from_coords(2, [(i, i * i) for i in range(17)])
-    with pytest.raises(CapacityError):
-        max_convexly_independent(big)
-    with pytest.raises(CapacityError):
+    assert max_convexly_independent(big) == (17, tuple(range(17)))
+    with pytest.raises(CapacityError, match="size 17 exceeds the line-cover bound 16"):
         min_line_cover(big)
+    bigger = PointConfig.from_coords(2, [(i, i * i) for i in range(21)])
+    with pytest.raises(CapacityError, match="ground set size 21 exceeds the enumeration bound 20"):
+        max_convexly_independent(bigger)
