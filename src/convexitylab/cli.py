@@ -126,25 +126,27 @@ def _gen_payload(source: str, bound: int | None) -> dict[str, Any]:
         n = _nonnegative_int(arg)
         runtime.check_ground_size(n, bound)  # before building its n(n+1)/2 intervals
         system = interval_system(n)
-    elif kind == "perm":
-        images = fileio.permutation_from_payload(fileio.parse_any(arg))
-        system = multichain_system(bichain_from_permutation(images))
+    elif kind in ("perm", "multichain"):
+        if kind == "perm":
+            images = fileio.permutation_from_payload(fileio.parse_any(arg))
+            chains = bichain_from_permutation(images)
+        else:
+            chains = fileio.multichain_from_payload(_read(Path(arg)))
+        runtime.check_ground_size(chains.ground.size, bound)  # before its n + 1 prefixes per order
+        system = multichain_system(chains)
     elif kind == "points":
         system = relconvex_system(fileio.points_from_payload(_read(Path(arg))))
     elif kind == "subsemilattices":
         system = subsemilattice_system(fileio.poset_from_payload(_read(Path(arg))))
     elif kind == "suborders":
         system = suborder_system(fileio.poset_from_payload(_read(Path(arg))))
-    elif kind == "multichain":
-        system = multichain_system(fileio.multichain_from_payload(_read(Path(arg))))
     elif kind == "omega":
         payload = fileio.semilattice_to_payload(omega_prefix(_nonnegative_int(arg)).semilattice())
         payload["provenance"] = provenance
         return payload
     else:
         raise InputError(f"unknown generator '{kind}'")
-    payload = fileio.system_to_payload(system, bound, provenance)
-    return payload
+    return fileio.system_to_payload(system, bound, provenance)
 
 
 def _nonnegative_int(text: str) -> int:

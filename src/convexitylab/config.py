@@ -31,12 +31,17 @@ LIMITS = MappingProxyType({
 
 
 def check_limit(what: str, value: int, name: str, limit: int | None = None) -> None:
-    """Raise ``CapacityError`` "<what> <value> exceeds the <name> bound
-    <limit>" if value exceeds the limit: ``LIMITS[name]``, or a limit
-    the caller derived from that entry."""
-    limit = LIMITS[name] if limit is None else limit
+    """Raise ``CapacityError`` if value exceeds the limit: "<what> <value>
+    exceeds the <name> bound <limit>" for ``LIMITS[name]`` or the given
+    enumeration bound, and "... exceeds the bound <limit> derived from the
+    <name> bound <entry>" for a limit the caller derived from an entry."""
+    entry = LIMITS.get(name, limit)
+    limit = entry if limit is None else limit
     if value > limit:
-        raise CapacityError(f"{what} {value} exceeds the {name} bound {limit}")
+        bound = f"the {name} bound {entry}"
+        if limit != entry:
+            bound = f"the bound {limit} derived from {bound}"
+        raise CapacityError(f"{what} {value} exceeds {bound}")
 
 
 def enumeration_bound(explicit: int | None = None) -> int:

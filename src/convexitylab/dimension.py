@@ -126,8 +126,8 @@ def min_chain_cover(poset: PosetLike, subset: tuple[int, ...] | list[int]) -> Ch
 
 
 def meet_irreducibles(order: Lattice | ClosedSetLattice | JoinSemilattice) -> tuple[int, ...]:
-    """Elements with exactly one upper cover (top excluded), read from
-    the covers of the order given."""
+    """Elements with exactly one upper cover (top excluded): the order's own
+    ``meet_irreducibles()``, kept public for callers such as the benchmark."""
     return order.meet_irreducibles()
 
 
@@ -186,7 +186,7 @@ def embed_via_chain_covers(
     """Join-preserving embedding into the product of the extended chains."""
     lat = as_lattice(lattice)
     covered = {e for chain in cover.chains for e in chain}
-    missing = [m for m in meet_irreducibles(lat) if m not in covered]
+    missing = [m for m in lat.meet_irreducibles() if m not in covered]
     if missing:
         raise InputError(
             f"cover misses meet-irreducible elements: {[lat.labels[m] for m in missing]}"

@@ -176,10 +176,8 @@ def check_convexity_characterization(lattice: Lattice | ClosedSetLattice) -> Ver
 
     Plain join-irreducibles (unique lower cover) stand in for the
     completely join-irreducible elements, which coincide at finite
-    scale.  Every finite lattice is spatial, so only the second part is
-    checked: by induction on height, an element y that is neither the
-    bottom nor join-irreducible is the join of two of its lower covers,
-    each the join of the join-irreducibles below it.
+    scale.  Only the second part is checked: every finite lattice is
+    spatial (by induction on height, y is the join of two lower covers).
     """
     lat = as_lattice(lattice)
     ji = lat.join_irreducibles()

@@ -22,14 +22,14 @@ embedding is the least one in search order.  Every returned map is
 re-verified from scratch against injectivity and join preservation.
 
 The search takes patterns and hosts within the "pattern" (32, enough
-for ``omega_prefix(4)``) and "host" (10,000) entries of ``config.LIMITS``.
-No pattern is built larger than the host bound, and
-``obstruction_report`` checks its maxima before the first search.
+for ``omega_prefix(4)``) and "host" (10,000) entries of ``config.LIMITS``;
+no pattern past the host bound is built, and ``obstruction_report``
+checks its maxima before the first search.
 
-Independence is one search, ``largest_independent``, over the subsets
-in which no member depends on the rest; it takes the dependence test
-as an argument.  ``independent_sets`` passes closure membership in a
-closure system, and :mod:`relconvex` passes hull membership.
+Independence is one search within the enumeration bound,
+``largest_independent``, over the subsets in which no member depends on
+the rest; ``independent_sets`` passes closure membership in a closure
+system as the dependence test, and :mod:`relconvex` hull membership.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def interval_chain_pattern(n: int) -> Pattern:
     """Intervals of an n-chain (with the empty interval) under span-join."""
     if n < 1:
         raise InputError("pattern parameter must be at least 1")
-    # n(n + 1)/2 + 1 elements fit the host bound
-    limit = (isqrt(8 * runtime.LIMITS["host"] - 7) - 1) // 2
+    limit = (isqrt(8 * runtime.LIMITS["host"] - 7) - 1) // 2  # n(n + 1)/2 + 1 <= host bound
     runtime.check_limit("interval pattern parameter", n, "host", limit)
     intervals: list[tuple[int, int] | None] = [None]
     intervals += [(i, j) for i in range(n) for j in range(i, n)]
@@ -235,12 +234,13 @@ def is_independent(members: Sequence[int], depends: Callable[[int, int], bool]) 
 
 
 def largest_independent(
-    n: int, depends: Callable[[int, int], bool]
+    n: int, depends: Callable[[int, int], bool], bound: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """Largest subset of ``range(n)`` passing ``is_independent`` under
-    ``depends``, and its size.  Subsets grow in increasing id order,
-    cut off once the ids left cannot beat the best; the first largest
-    subset found is returned."""
+    ``depends``, and its size, for n within the enumeration bound.  Subsets
+    grow in increasing id order, cut off once the ids left cannot beat the
+    best; the first largest subset found is returned."""
+    runtime.check_ground_size(n, bound)
     best_size = 0
     best: tuple[int, ...] = ()
 
@@ -272,8 +272,7 @@ def independent_sets(
     closures of its subsets.
     """
     n = system.ground.size
-    runtime.check_ground_size(n, bound)
-    return largest_independent(n, lambda rest, i: bool(system.close(rest) >> i & 1))
+    return largest_independent(n, lambda rest, i: bool(system.close(rest) >> i & 1), bound)
 
 
 @dataclass(frozen=True)

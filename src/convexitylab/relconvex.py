@@ -36,7 +36,7 @@ from typing import Any
 
 from .bitset import bits, popcount
 from .closure import ClosureSystem, GroundSet
-from .config import check_ground_size, check_limit
+from .config import check_limit
 from .errors import InputError
 from .geometry import Verdict
 from .obstructions import is_independent, largest_independent
@@ -268,9 +268,7 @@ def max_convexly_independent(config: PointConfig) -> tuple[int, tuple[int, ...]]
     configuration must fit the enumeration bound, as in ``independent_sets``."""
     memo = config._search_memo
     if "independent" not in memo:
-        n = config.size
-        check_ground_size(n)
-        memo["independent"] = largest_independent(n, partial(hull_membership, config))
+        memo["independent"] = largest_independent(config.size, partial(hull_membership, config))
     return memo["independent"]
 
 

@@ -200,6 +200,16 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "gen", "chain-intervals:1000000")
     assert (code, stdout) == (3, "")
     assert "ground set size 1000000 exceeds the enumeration bound 20" in err
+    # refused before any order's n + 1 prefix masks (about 5 GB here) are built
+    names = 200_000
+    big = write(
+        tmp_path,
+        "big-multichain.json",
+        {"elements": [f"e{i}" for i in range(names)], "orders": [list(range(names))] * 2},
+    )
+    code, stdout, err = run_cli(capsys, "gen", f"multichain:{big}")
+    assert (code, stdout) == (3, "")
+    assert f"ground set size {names} exceeds the enumeration bound 20" in err
     assert run_cli(capsys, "gen", "nonsense:1")[0] == 2
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"), "anti-exchange")[0] == 2
     no_points = write(tmp_path, "empty.json", {"dim": 2, "points": []})

@@ -35,5 +35,11 @@ def test_check_limit_message():
     config.check_limit("pattern size", 32, "pattern")
     with pytest.raises(CapacityError, match="^pattern size 33 exceeds the pattern bound 32$"):
         config.check_limit("pattern size", 33, "pattern")
-    with pytest.raises(CapacityError, match="^depth 4 exceeds the omega-depth bound 3$"):
+    config.check_limit("ground set size", 20, "enumeration", 20)
+    with pytest.raises(CapacityError, match="^ground set size 21 exceeds the enumeration bound 20$"):
+        config.check_limit("ground set size", 21, "enumeration", 20)
+    # a limit derived from an entry is not reported as the entry
+    with pytest.raises(
+        CapacityError, match=r"^depth 4 exceeds the bound 3 derived from the omega-depth bound 8$"
+    ):
         config.check_limit("depth", 4, "omega-depth", 3)
